@@ -20,33 +20,118 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .trees import Forest, PlanarTree, _Cursor, _parse_forest, _starts_tree, format_forest, leaf
 
+_ONE = Fraction(1)
 
-class Element:
-    """A finite formal linear combination of forests over exact rationals.
 
-    Stored sparsely as a map Forest -> nonzero Fraction; the empty map is
-    the zero element.  Instances behave as immutable values: +, -, scalar
-    multiplication, and ``x * y`` for the concatenation product.
+def _collect(pairs: Iterable[tuple[Hashable, Fraction]], into: dict | None = None) -> dict:
+    """Sum (key, nonzero Fraction) pairs into ``into`` (a new dict if
+    None), deleting every key whose sum cancels to zero.  This is the one
+    accumulate loop behind every vector operation of the package."""
+    out = {} if into is None else into
+    for key, c in pairs:
+        old = out.get(key)
+        if old is None:
+            out[key] = c
+        else:
+            c += old
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
+
+
+def _items(terms) -> Iterable:
+    return terms.items() if isinstance(terms, Mapping) else terms
+
+
+class LinComb:
+    """A finite linear combination over exact rationals.
+
+    Stored sparsely as a map key -> nonzero Fraction; the empty map is
+    the zero.  Instances behave as immutable values under +, - and
+    ``scaled``.  Subclasses fix the key type and the canonical sort key
+    of their keys (used by ``sorted_terms`` and so for all printed
+    output); two combinations are equal when they lie in the same space
+    and have the same terms.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Forest, Rational] | Iterable[tuple[Forest, Rational]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Forest, Fraction] = {}
-        for f, c in items:
-            c = Fraction(c)
-            if c:
-                new = clean.get(f, Fraction(0)) + c
-                if new:
-                    clean[f] = new
-                else:
-                    del clean[f]
-        self._terms = clean
+    def __init__(self, terms: Mapping[Hashable, Rational] | Iterable[tuple[Hashable, Rational]] = ()):
+        self._terms = _collect((key, Fraction(c)) for key, c in _items(terms) if c)
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """An instance wrapping terms that are already collected."""
+        res = object.__new__(cls)
+        res._terms = terms
+        return res
+
+    def _like(self, terms: dict):
+        """A combination in the same space as self with collected terms."""
+        return self._of(terms)
+
+    def _space(self):
+        """What equality compares besides the terms: the type (tensors add the arity)."""
+        return type(self)
+
+    @staticmethod
+    def _sort_key(key):
+        return key.sort_key()
+
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def sorted_terms(self) -> list[tuple[Hashable, Fraction]]:
+        """Terms in canonical key order; the deterministic iteration used
+        for all printed output."""
+        sort_key = self._sort_key
+        return sorted(self._terms.items(), key=lambda kv: sort_key(kv[0]))
+
+    def coefficient(self, key) -> Fraction:
+        return self._terms.get(key, Fraction(0))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        return self._space() == other._space() and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other):
+        if not isinstance(other, LinComb) or self._space() != other._space():
+            return NotImplemented
+        return self._like(_collect(other._terms.items(), dict(self._terms)))
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, c: Rational):
+        c = Fraction(c)
+        return self._like({key: c * v for key, v in self._terms.items()} if c else {})
+
+
+class Element(LinComb):
+    """A finite formal linear combination of forests over exact rationals.
+
+    The keys are forests.  Besides the vector operations, ``x * y`` is
+    the concatenation product and ``c * x`` scalar multiplication.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def zero() -> Element:
@@ -60,21 +145,6 @@ class Element:
     def from_tree(t: PlanarTree, coeff: Rational = 1) -> Element:
         return Element([(Forest((t,)), coeff)])
 
-    def terms(self) -> dict[Forest, Fraction]:
-        return dict(self._terms)
-
-    def sorted_terms(self) -> list[tuple[Forest, Fraction]]:
-        """Terms in canonical forest order; the deterministic iteration used
-        for all printed output."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def coefficient(self, f: Forest) -> Fraction:
-        return self._terms.get(f, Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def support(self) -> set[Forest]:
         return set(self._terms)
 
@@ -85,52 +155,16 @@ class Element:
         """0 for the zero element."""
         return max((f.degree for f in self._terms), default=0)
 
-    def homogeneous_component(self, n: int) -> Element:
-        return Element([(f, c) for f, c in self._terms.items() if f.degree == n])
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: Element) -> Element:
-        if not isinstance(other, Element):
-            return NotImplemented
-        out = dict(self._terms)
-        for f, c in other._terms.items():
-            new = out.get(f, Fraction(0)) + c
-            if new:
-                out[f] = new
-            else:
-                out.pop(f, None)
-        res = Element()
-        res._terms = out
-        return res
-
-    def __neg__(self) -> Element:
-        res = Element()
-        res._terms = {f: -c for f, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other: Element) -> Element:
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, Element):
             return star(self, other)
         if isinstance(other, Rational):
-            return scale(other, self)
+            return self.scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, Rational):
-            return scale(other, self)
+            return self.scaled(other)
         return NotImplemented
 
     def __str__(self) -> str:
@@ -150,33 +184,46 @@ def add(x: Element, y: Element) -> Element:
 
 
 def scale(c: Rational, x: Element) -> Element:
-    c = Fraction(c)
-    if not c:
-        return Element.zero()
-    res = Element()
-    res._terms = {f: c * v for f, v in x._terms.items()}
-    return res
+    return x.scaled(c)
 
 
-def star_basis(f: Forest, g: Forest) -> Forest:
-    """Concatenation of two basis forests."""
-    return f.concat(g)
+def _bilinear(x: LinComb, y: LinComb, basis_op: Callable) -> dict:
+    """Collected terms of the bilinear extension of ``basis_op``, which
+    maps two forests to the forests of their product, each with
+    coefficient 1.  The key None, the unit of the unital extension, is a
+    two-sided unit."""
+
+    def pairs() -> Iterator[tuple[Hashable, Fraction]]:
+        for f, c in x._terms.items():
+            for g, d in y._terms.items():
+                cd = c * d
+                if f is None:
+                    yield g, cd
+                elif g is None:
+                    yield f, cd
+                else:
+                    for key in basis_op(f, g):
+                        yield key, cd
+
+    return _collect(pairs())
+
+
+def _concat(f: Forest, g: Forest) -> tuple[Forest]:
+    return (f.concat(g),)
+
+
+def _succ_forests(f: Forest, g: Forest) -> Iterator[Forest]:
+    ts, ss = f.trees, g.trees
+    p, q = len(ts), len(ss)
+    for k in range(1, q + 1):
+        for i in range(p):
+            node = PlanarTree(children=ts[p - (i + 1):] + ss[:k])
+            yield Forest(ts[: p - (i + 1)] + (node,) + ss[k:])
 
 
 def star(x: Element, y: Element) -> Element:
     """The associative product: bilinear extension of concatenation."""
-    out: dict[Forest, Fraction] = {}
-    for f, c in x._terms.items():
-        for g, d in y._terms.items():
-            key = f.concat(g)
-            new = out.get(key, Fraction(0)) + c * d
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    res = Element()
-    res._terms = out
-    return res
+    return Element._of(_bilinear(x, y, _concat))
 
 
 def succ_basis(f: Forest, g: Forest) -> Element:
@@ -186,34 +233,12 @@ def succ_basis(f: Forest, g: Forest) -> Element:
     way of bracketing a nonempty suffix of f with a nonempty prefix of g
     under a new root, keeping the leftover trees on either side.
     """
-    ts, ss = f.trees, g.trees
-    p, q = len(ts), len(ss)
-    out: dict[Forest, Fraction] = {}
-    for k in range(1, q + 1):
-        for i in range(p):
-            node = PlanarTree(children=ts[p - (i + 1):] + ss[:k])
-            key = Forest(ts[: p - (i + 1)] + (node,) + ss[k:])
-            out[key] = out.get(key, Fraction(0)) + 1
-    res = Element()
-    res._terms = out
-    return res
+    return Element._of(_collect((h, _ONE) for h in _succ_forests(f, g)))
 
 
 def succ(x: Element, y: Element) -> Element:
     """Bilinear extension of succ_basis."""
-    acc: dict[Forest, Fraction] = {}
-    for f, c in x._terms.items():
-        for g, d in y._terms.items():
-            cd = c * d
-            for key, v in succ_basis(f, g)._terms.items():
-                new = acc.get(key, Fraction(0)) + cd * v
-                if new:
-                    acc[key] = new
-                else:
-                    del acc[key]
-    res = Element()
-    res._terms = acc
-    return res
+    return Element._of(_bilinear(x, y, _succ_forests))
 
 
 def star_all(factors: Sequence[Element]) -> Element:
@@ -351,9 +376,9 @@ def _parse_term(cur: _Cursor, alphabet_size: int | None, unital: bool):
 
 
 def _parse_element_into(cur: _Cursor, alphabet_size: int | None, unital: bool):
-    """Shared element parser; returns (unit_coefficient, Element)."""
-    unit_coeff = Fraction(0)
-    terms: list[tuple[Forest, Fraction]] = []
+    """Shared element parser; returns the (slot, coefficient) terms, with
+    the slot None for the unit (unital mode only)."""
+    terms: list[tuple[Forest | None, Fraction]] = []
     cur.skip_ws()
     sign = Fraction(1)
     if cur.peek() in ("+", "-"):
@@ -362,13 +387,11 @@ def _parse_element_into(cur: _Cursor, alphabet_size: int | None, unital: bool):
         cur.skip_ws()
     while True:
         coeff, basis = _parse_term(cur, alphabet_size, unital)
-        if basis is None:
-            unit_coeff += sign * coeff
-        elif basis != "zero":
+        if basis != "zero":
             terms.append((basis, sign * coeff))
         cur.skip_ws()
         if cur.at_end():
-            return unit_coeff, Element(terms)
+            return terms
         op = cur.peek()
         if op not in ("+", "-"):
             raise cur.fail(f"expected '+' or '-', got {op!r}")
@@ -382,7 +405,4 @@ def parse_element(text: str, alphabet_size: int | None = None) -> Element:
 
     parse_element(format_element(x)) == x for every element x.
     """
-    cur = _Cursor(text)
-    unit_coeff, elem = _parse_element_into(cur, alphabet_size, unital=False)
-    assert unit_coeff == 0
-    return elem
+    return Element(_parse_element_into(_Cursor(text), alphabet_size, unital=False))

@@ -165,9 +165,6 @@ def _print_table(headers: list[str], rows: list[list[str]], tsv: bool) -> None:
 
 def _cmd_dims(args) -> int:
     n = args.max_degree
-    if n < 1:
-        print("--max-degree must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
     trees_series = tinf_series(n)
     forests_series = hoch_series(n)
     headers = ["degree", "trees", "trees(series)", "trees(known)", "forests", "forests(series)", "forests(known)"]
@@ -213,6 +210,9 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "max_degree", 1) < 1:  # dims and verify
+            print("--max-degree must be at least 1", file=sys.stderr)
+            return EXIT_PARSE
         if args.command == "enum":
             return _cmd_enum(args)
         if args.command == "op":

@@ -26,18 +26,23 @@ added.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterable, Mapping
 
 from . import linalg
 from .algebra import (
+    _ONE,
     Element,
+    LinComb,
+    _bilinear,
+    _collect,
+    _concat,
     _Cursor,
     _format_terms,
+    _items,
     _parse_element_into,
-    scale,
+    _succ_forests,
     star,
     succ,
 )
@@ -47,22 +52,21 @@ from .trees import Forest, enumerate_forests, format_forest
 # extension (nonunital operations never produce None slots).
 Slot = Forest | None
 
-_UNIT_SLOT_KEY = (0, 0, ())
-
 
 def _slot_key(s: Slot):
-    return _UNIT_SLOT_KEY if s is None else s.sort_key()
+    """Canonical order of slots: the unit before every forest."""
+    return (0, 0, ()) if s is None else s.sort_key()
 
 
-class TensorElement:
+class TensorElement(LinComb):
     """A linear combination of k-fold tensors of basis forests.
 
     Keys are k-tuples of slots with a fixed arity k >= 1; coefficients are
     nonzero exact rationals.  The zero tensor of each arity is the empty
-    map.
+    map, and tensors of different arities are never equal.
     """
 
-    __slots__ = ("arity", "_terms")
+    __slots__ = ("arity",)
 
     def __init__(
         self,
@@ -72,92 +76,46 @@ class TensorElement:
         if arity < 1:
             raise ValueError(f"tensor arity must be positive, got {arity}")
         self.arity = arity
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[Slot, ...], Fraction] = {}
-        for key, c in items:
-            key = tuple(key)
-            if len(key) != arity:
-                raise ValueError(f"tensor key {key} does not have arity {arity}")
-            c = Fraction(c)
-            if c:
-                new = clean.get(key, Fraction(0)) + c
-                if new:
-                    clean[key] = new
-                else:
-                    del clean[key]
-        self._terms = clean
+        super().__init__((self._checked(key), c) for key, c in _items(terms))
+
+    def _checked(self, key) -> tuple[Slot, ...]:
+        key = tuple(key)
+        if len(key) != self.arity:
+            raise ValueError(f"tensor key {key} does not have arity {self.arity}")
+        return key
+
+    def _like(self, terms: dict) -> TensorElement:
+        res = self._of(terms)
+        res.arity = self.arity
+        return res
+
+    def _space(self):
+        return (TensorElement, self.arity)
+
+    @staticmethod
+    def _sort_key(key):
+        return tuple(_slot_key(s) for s in key)
 
     @staticmethod
     def zero(arity: int) -> TensorElement:
         return TensorElement(arity)
 
-    def terms(self) -> dict[tuple[Slot, ...], Fraction]:
-        return dict(self._terms)
-
-    def sorted_terms(self) -> list[tuple[tuple[Slot, ...], Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: tuple(_slot_key(s) for s in kv[0]))
-
-    def coefficient(self, key: tuple[Slot, ...]) -> Fraction:
-        return self._terms.get(tuple(key), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self._terms.items())))
-
     def __add__(self, other: TensorElement) -> TensorElement:
-        if self.arity != other.arity:
+        if isinstance(other, TensorElement) and self.arity != other.arity:
             raise ValueError("tensor arities differ")
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            new = out.get(key, Fraction(0)) + c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        res = TensorElement(self.arity)
-        res._terms = out
-        return res
-
-    def __neg__(self) -> TensorElement:
-        res = TensorElement(self.arity)
-        res._terms = {k: -c for k, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other: TensorElement) -> TensorElement:
-        return self + (-other)
-
-    def scaled(self, c: Rational) -> TensorElement:
-        c = Fraction(c)
-        if not c:
-            return TensorElement(self.arity)
-        res = TensorElement(self.arity)
-        res._terms = {k: c * v for k, v in self._terms.items()}
-        return res
+        return super().__add__(other)
 
     def map_slot(
         self, index: int, fn: Callable[[Slot], Iterable[tuple[Slot, Fraction]]]
     ) -> TensorElement:
-        """Substitute a linear combination of slots for slot ``index``."""
-        out: dict[tuple[Slot, ...], Fraction] = {}
-        for key, c in self._terms.items():
-            for slot, d in fn(key[index]):
-                new_key = key[:index] + (slot,) + key[index + 1:]
-                new = out.get(new_key, Fraction(0)) + c * d
-                if new:
-                    out[new_key] = new
-                else:
-                    del out[new_key]
-        res = TensorElement(self.arity)
-        res._terms = out
-        return res
+        """Substitute fn(slot), (slot, nonzero coefficient) pairs, for slot ``index``."""
+        return self._like(
+            _collect(
+                (key[:index] + (slot,) + key[index + 1:], c * d)
+                for key, c in self._terms.items()
+                for slot, d in fn(key[index])
+            )
+        )
 
     def __str__(self) -> str:
         return format_tensor(self)
@@ -166,23 +124,15 @@ class TensorElement:
         return f"TensorElement({self.arity}, {format_tensor(self)!r})"
 
 
-def tensor_of_elements(*factors: Element) -> TensorElement:
-    """The tensor x1 (x) ... (x) xk of elements, expanded bilinearly."""
-    arity = len(factors)
-    terms: dict[tuple[Slot, ...], Fraction] = {}
-    keys_coeffs = [[((f,), c) for f, c in x._terms.items()] for x in factors]
-    if any(not kc for kc in keys_coeffs):
-        return TensorElement(arity)
-    acc: list[tuple[tuple[Slot, ...], Fraction]] = [((), Fraction(1))]
-    for kc in keys_coeffs:
-        acc = [(key + k2, c * c2) for key, c in acc for k2, c2 in kc]
-    for key, c in acc:
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return TensorElement(arity, terms)
+def tensor_of_elements(*factors: LinComb) -> TensorElement:
+    """The tensor x1 (x) ... (x) xk of elements, expanded bilinearly.
 
-
-def _element_slots(x: Element) -> list[tuple[Slot, Fraction]]:
-    return [(f, c) for f, c in x._terms.items()]
+    The factors may be unital elements, whose unit is the slot None.
+    """
+    acc: list[tuple[tuple[Slot, ...], Fraction]] = [((), _ONE)]
+    for x in factors:
+        acc = [(key + (s,), c * d) for key, c in acc for s, d in x._terms.items()]
+    return TensorElement(len(factors))._like(_collect(acc))
 
 
 class CoproductEngine:
@@ -212,8 +162,8 @@ class CoproductEngine:
         assert x.max_degree() < bound and y.max_degree() < bound
         dx = self.coproduct(x)
         dy = self.coproduct(y)
-        left = dx.map_slot(1, lambda b: _element_slots(op(Element.from_forest(b), y)))
-        right = dy.map_slot(0, lambda a: _element_slots(op(x, Element.from_forest(a))))
+        left = dx.map_slot(1, lambda b: op(Element.from_forest(b), y)._terms.items())
+        right = dy.map_slot(0, lambda a: op(x, Element.from_forest(a))._terms.items())
         return left + right + tensor_of_elements(x, y).scaled(self.cross_sign)
 
     def coproduct_basis(self, f: Forest) -> TensorElement:
@@ -250,10 +200,13 @@ class CoproductEngine:
 
     def coproduct(self, x: Element) -> TensorElement:
         """Linear extension of coproduct_basis."""
-        acc = TensorElement.zero(2)
-        for f, c in x._terms.items():
-            acc = acc + self.coproduct_basis(f).scaled(c)
-        return acc
+        return TensorElement(2)._like(
+            _collect(
+                (key, c * d)
+                for f, c in x._terms.items()
+                for key, d in self.coproduct_basis(f)._terms.items()
+            )
+        )
 
 
 _DEFAULT_ENGINE = CoproductEngine()
@@ -272,21 +225,15 @@ def apply_coproduct_at(
 ) -> TensorElement:
     """Apply the coproduct to one tensor slot, raising the arity by one."""
     engine = engine or _DEFAULT_ENGINE
-    out: dict[tuple[Slot, ...], Fraction] = {}
-    for key, c in t._terms.items():
-        slot = key[index]
-        if slot is None:
-            raise ValueError("cannot apply the nonunital coproduct to a unit slot")
-        for inner_key, d in engine.coproduct_basis(slot)._terms.items():
-            new_key = key[:index] + inner_key + key[index + 1:]
-            new = out.get(new_key, Fraction(0)) + c * d
-            if new:
-                out[new_key] = new
-            else:
-                del out[new_key]
-    res = TensorElement(t.arity + 1)
-    res._terms = out
-    return res
+    if any(key[index] is None for key in t._terms):
+        raise ValueError("cannot apply the nonunital coproduct to a unit slot")
+    return TensorElement(t.arity + 1)._like(
+        _collect(
+            (key[:index] + inner + key[index + 1:], c * d)
+            for key, c in t._terms.items()
+            for inner, d in engine.coproduct_basis(key[index])._terms.items()
+        )
+    )
 
 
 def iterated_coproduct(x: Element, r: int, engine: CoproductEngine | None = None) -> TensorElement:
@@ -340,10 +287,7 @@ def coproduct_matrix(
     engine = engine or _DEFAULT_ENGINE
     forests = enumerate_forests(n, alphabet_size)
     images = [engine.coproduct_basis(f) for f in forests]
-    keys = sorted(
-        {key for img in images for key in img._terms},
-        key=lambda key: tuple(_slot_key(s) for s in key),
-    )
+    keys = sorted({key for img in images for key in img._terms}, key=TensorElement._sort_key)
     row_of = {key: i for i, key in enumerate(keys)}
     entries = {}
     for col, img in enumerate(images):
@@ -376,6 +320,18 @@ def _resolve_op(which: str):
     raise ValueError(f"operation must be 'star'/'*' or 'succ'/'>', got {which!r}")
 
 
+def _sweedler_sides(
+    x: LinComb, y: LinComb, dx: TensorElement, dy: TensorElement, op
+) -> TensorElement:
+    """x_(1) (x) (x_(2) op y) + (x op y_(1)) (x) y_(2), assembled from the
+    coproducts dx of x and dy of y; a slot s stands for the basis element
+    with key s in the space of x and y."""
+    basis = type(x)._of
+    left = dx.map_slot(1, lambda b: op(basis({b: _ONE}), y)._terms.items())
+    right = dy.map_slot(0, lambda a: op(x, basis({a: _ONE}))._terms.items())
+    return left + right
+
+
 def check_compatibility(
     x: Element, y: Element, which: str, engine: CoproductEngine | None = None
 ) -> bool:
@@ -389,54 +345,42 @@ def check_compatibility(
     engine = engine or _DEFAULT_ENGINE
     op = _resolve_op(which)
     lhs = engine.coproduct(op(x, y))
-    dx = engine.coproduct(x)
-    dy = engine.coproduct(y)
-    rhs = (
-        dx.map_slot(1, lambda b: _element_slots(op(Element.from_forest(b), y)))
-        + dy.map_slot(0, lambda a: _element_slots(op(x, Element.from_forest(a))))
-        + tensor_of_elements(x, y)
-    )
-    return lhs == rhs
+    rhs = _sweedler_sides(x, y, engine.coproduct(x), engine.coproduct(y), op)
+    return lhs == rhs + tensor_of_elements(x, y)
 
 
 # --- unital extension ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitalElement:
-    """An element of the unital extension: a multiple of 1 plus a body in
-    the augmentation ideal (which never contains a unit term)."""
+class UnitalElement(LinComb):
+    """An element of the unital extension: a linear combination of slots,
+    where the slot None is the unit 1 and the forests span the
+    augmentation ideal.  ``unit`` is the coefficient of 1 and ``body``
+    the rest, as an Element."""
 
-    unit: Fraction
-    body: Element
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unit", Fraction(self.unit))
+    def __init__(self, unit: Rational, body: Element):
+        unit = Fraction(unit)
+        self._terms = {None: unit, **body._terms} if unit else dict(body._terms)
+
+    _sort_key = staticmethod(_slot_key)
+
+    @property
+    def unit(self) -> Fraction:
+        return self.coefficient(None)
+
+    @property
+    def body(self) -> Element:
+        return Element._of({s: c for s, c in self._terms.items() if s is not None})
 
     @staticmethod
     def one(coeff: Rational = 1) -> UnitalElement:
-        return UnitalElement(Fraction(coeff), Element.zero())
+        return UnitalElement(coeff, Element.zero())
 
     @staticmethod
     def from_element(x: Element) -> UnitalElement:
-        return UnitalElement(Fraction(0), x)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.unit and self.body.is_zero
-
-    def __add__(self, other: UnitalElement) -> UnitalElement:
-        return UnitalElement(self.unit + other.unit, self.body + other.body)
-
-    def __neg__(self) -> UnitalElement:
-        return UnitalElement(-self.unit, -self.body)
-
-    def __sub__(self, other: UnitalElement) -> UnitalElement:
-        return self + (-other)
-
-    def scaled(self, c: Rational) -> UnitalElement:
-        c = Fraction(c)
-        return UnitalElement(c * self.unit, scale(c, self.body))
+        return UnitalElement(0, x)
 
     def __str__(self) -> str:
         return format_unital_element(self)
@@ -450,18 +394,12 @@ ONE = UnitalElement.one()
 
 def unital_star(x: UnitalElement, y: UnitalElement) -> UnitalElement:
     """Concatenation with 1 as two-sided unit."""
-    return UnitalElement(
-        x.unit * y.unit,
-        scale(x.unit, y.body) + scale(y.unit, x.body) + star(x.body, y.body),
-    )
+    return UnitalElement._of(_bilinear(x, y, _concat))
 
 
 def unital_succ(x: UnitalElement, y: UnitalElement) -> UnitalElement:
     """The magmatic product with 1 as two-sided unit."""
-    return UnitalElement(
-        x.unit * y.unit,
-        scale(x.unit, y.body) + scale(y.unit, x.body) + succ(x.body, y.body),
-    )
+    return UnitalElement._of(_bilinear(x, y, _succ_forests))
 
 
 def unital_ops(x: UnitalElement, y: UnitalElement, which: str) -> UnitalElement:
@@ -469,32 +407,19 @@ def unital_ops(x: UnitalElement, y: UnitalElement, which: str) -> UnitalElement:
     return unital_star(x, y) if op is star else unital_succ(x, y)
 
 
-def _unital_slots(x: UnitalElement) -> list[tuple[Slot, Fraction]]:
-    out: list[tuple[Slot, Fraction]] = []
-    if x.unit:
-        out.append((None, x.unit))
-    out.extend(x.body._terms.items())
-    return out
-
-
-def _slot_to_unital(s: Slot) -> UnitalElement:
-    if s is None:
-        return ONE
-    return UnitalElement.from_element(Element.from_forest(s))
-
-
 def unital_coproduct(x: UnitalElement, engine: CoproductEngine | None = None) -> TensorElement:
     """The unital coproduct d(x) = 1 (x) x + x (x) 1 + D(x) on the body,
     with d(1) = 1 (x) 1."""
     engine = engine or _DEFAULT_ENGINE
-    terms: dict[tuple[Slot, ...], Fraction] = {}
-    if x.unit:
-        terms[(None, None)] = x.unit
-    for f, c in x.body._terms.items():
-        for key in ((None, f), (f, None)):
-            terms[key] = terms.get(key, Fraction(0)) + c
-    acc = TensorElement(2, terms)
-    return acc + engine.coproduct(x.body)
+
+    def slot_coproduct(s: Slot):
+        if s is None:
+            return (((None, None), _ONE),)
+        return [((None, s), _ONE), ((s, None), _ONE), *engine.coproduct_basis(s)._terms.items()]
+
+    return TensorElement(2)._like(
+        _collect((key, c * d) for s, c in x._terms.items() for key, d in slot_coproduct(s))
+    )
 
 
 def check_unital_compatibility(
@@ -508,41 +433,31 @@ def check_unital_compatibility(
     independently and compared exactly.
     """
     engine = engine or _DEFAULT_ENGINE
-    lhs = unital_coproduct(unital_ops(x, y, which), engine)
+    op = unital_star if _resolve_op(which) is star else unital_succ
+    lhs = unital_coproduct(op(x, y), engine)
     dx = unital_coproduct(x, engine)
     dy = unital_coproduct(y, engine)
-    left = dx.map_slot(1, lambda b: _unital_slots(unital_ops(_slot_to_unital(b), y, which)))
-    right = dy.map_slot(0, lambda a: _unital_slots(unital_ops(x, _slot_to_unital(a), which)))
-    cross_terms: list[tuple[tuple[Slot, ...], Fraction]] = [
-        ((a, b), ca * cb) for a, ca in _unital_slots(x) for b, cb in _unital_slots(y)
-    ]
-    rhs = left + right - TensorElement(2, cross_terms)
-    return lhs == rhs
+    return lhs == _sweedler_sides(x, y, dx, dy, op) - tensor_of_elements(x, y)
 
 
 # --- text form ----------------------------------------------------------
 
 
+def _slot_text(s: Slot) -> str:
+    return "1" if s is None else format_forest(s)
+
+
 def format_tensor(t: TensorElement) -> str:
     """Canonical text of a tensor: factors joined by ' (x) ', unit slots
     printed as '1'; '0' for the zero tensor."""
-    pairs = []
-    for key, c in t.sorted_terms():
-        text = " (x) ".join("1" if s is None else format_forest(s) for s in key)
-        pairs.append((text, c))
-    return _format_terms(pairs)
+    return _format_terms([(" (x) ".join(map(_slot_text, key)), c) for key, c in t.sorted_terms()])
 
 
 def format_unital_element(x: UnitalElement) -> str:
-    pairs: list[tuple[str, Fraction]] = []
-    if x.unit:
-        pairs.append(("1", x.unit))
-    pairs.extend((format_forest(f), c) for f, c in x.body.sorted_terms())
-    return _format_terms(pairs)
+    return _format_terms([(_slot_text(s), c) for s, c in x.sorted_terms()])
 
 
 def parse_unital_element(text: str, alphabet_size: int | None = None) -> UnitalElement:
     """Parse the element grammar extended with '1' as the unit factor."""
-    cur = _Cursor(text)
-    unit_coeff, elem = _parse_element_into(cur, alphabet_size, unital=True)
-    return UnitalElement(unit_coeff, elem)
+    terms = _parse_element_into(_Cursor(text), alphabet_size, unital=True)
+    return UnitalElement._of(_collect((s, c) for s, c in terms if c))

@@ -69,6 +69,16 @@ class TestVectorSpace:
     def test_add_commutes(self, x, y):
         assert x + y == y + x
 
+    def test_self_difference_has_no_terms(self):
+        x = E("2*| - 5/3*[|,|] + | [|,|]")
+        assert (x - x).terms() == {}
+
+    def test_product_coefficients_are_fractions(self):
+        x, y = E("2*| + 3*[|,|]"), E("-1*| | + 4*|")
+        for result in (star(x, y), succ(x, y), succ_basis(parse_forest("| |"), parse_forest("[|,|]"))):
+            assert result.terms()
+            assert all(type(c) is Fraction for c in result.terms().values())
+
     def test_operators(self):
         x, y = E("|"), E("[|,|]")
         assert x * y == star(x, y)

@@ -1,3 +1,5 @@
+import pytest
+
 from hochalg.algebra import parse_element
 from hochalg.cli import run
 
@@ -139,6 +141,14 @@ class TestVerify:
 
     def test_unknown_suite_rejected(self, capsys):
         assert run(["verify", "--suite", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("suite", ["genfunc", "primdims", "all"])
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    def test_max_degree_below_one_rejected(self, capsys, suite, degree):
+        assert run(["verify", "--max-degree", degree, "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--max-degree must be at least 1\n"
 
 
 class TestFiltration:

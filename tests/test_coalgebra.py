@@ -30,6 +30,7 @@ from hochalg.coalgebra import (
     unital_succ,
 )
 from hochalg.trees import enumerate_forests, parse_forest
+from hochalg.verify import run_suites
 
 E = parse_element
 F = parse_forest
@@ -291,6 +292,19 @@ class TestEngine:
         with pytest.raises(ValueError):
             CoproductEngine(cross_sign=2)
 
+    def test_run_suites_passes_the_given_engine(self):
+        # a broken engine must reach every suite that reads a coproduct,
+        # and must leave the shared default engine untouched
+        names = ["compat", "primdims", "brackets", "unital"]
+
+        def failing_suites(engine):
+            return {r.suite for r in run_suites(names, max_degree=3, engine=engine) if not r.passed}
+
+        assert failing_suites(CoproductEngine(cross_sign=0)) == set(names)
+        assert failing_suites(CoproductEngine(cross_sign=-1)) == {"compat", "brackets", "unital"}
+        assert failing_suites(None) == set()
+        assert coproduct(E("| |")) == tensor_of_elements(E("|"), E("|"))
+
 
 class TestTensorElement:
     def test_arity_validation(self):
@@ -311,6 +325,20 @@ class TestTensorElement:
     def test_scaled_format_has_coefficient(self):
         t = tensor_of_elements(E("|"), E("|")).scaled(Fraction(3, 2))
         assert format_tensor(t) == "3/2*| (x) |"
+
+    def test_self_difference_has_no_terms(self):
+        t = coproduct(E("2*| | | - 1/3*[|,|,|] |"))
+        assert t.terms()
+        assert (t - t).terms() == {}
+
+    def test_spaces_differ(self):
+        assert Element.zero() != TensorElement.zero(2)
+        assert TensorElement.zero(2) != TensorElement.zero(3)
+
+    def test_coproduct_coefficients_are_fractions(self):
+        t = coproduct(E("2*| | | + 3*[|,[|,|]] |"))
+        assert t.terms()
+        assert all(type(c) is Fraction for c in t.terms().values())
 
 
 class TestUnital:
@@ -364,6 +392,31 @@ class TestUnital:
         for text in ("1", "2*1 - 3/2*[|,|]", "-1 + | |", "0"):
             u = parse_unital_element(text)
             assert parse_unital_element(format_unital_element(u)) == u
+
+    def test_self_difference_has_no_terms(self):
+        u = parse_unital_element("2*1 - 3/2*[|,|] + | |")
+        assert (u - u).unit == 0
+        assert (u - u).body.terms() == {}
+        assert (u - u).is_zero
+
+    def test_constructor_matches_parser(self):
+        u = UnitalElement(1, E("|"))
+        assert u == parse_unital_element("1 + |")
+        assert hash(u) == hash(parse_unital_element("1 + |"))
+
+    def test_coefficients_are_fractions(self):
+        x = UnitalElement(2, E("3*| | - [|,|]"))
+        y = UnitalElement(1, E("4*|"))
+        for u in (unital_star(x, y), unital_succ(x, y)):
+            assert u.body.terms()
+            assert all(type(c) is Fraction for c in [u.unit, *u.body.terms().values()])
+        assert all(type(c) is Fraction for c in unital_coproduct(x).terms().values())
+        for u in (x, ONE, UnitalElement.from_element(E("|")), UnitalElement.one(3)):
+            assert type(u.unit) is Fraction
+
+    def test_nonunital_coproduct_rejects_unit_slot(self):
+        with pytest.raises(ValueError):
+            apply_coproduct_at(unital_coproduct(ONE), 0)
 
     def test_format_examples(self):
         assert format_unital_element(ONE) == "1"
