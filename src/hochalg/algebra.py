@@ -330,15 +330,10 @@ def format_element(x: Element) -> str:
 
 
 def _parse_rational(cur: _Cursor) -> Fraction:
-    digits = ""
-    while cur.peek().isdigit():
-        digits += cur.advance()
-    num = int(digits)
+    num = int(cur.digits())
     if cur.peek() == "/":
         cur.advance()
-        dend = ""
-        while cur.peek().isdigit():
-            dend += cur.advance()
+        dend = cur.digits()
         if not dend:
             raise cur.fail("expected digits after '/'")
         den = int(dend)

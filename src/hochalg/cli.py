@@ -239,6 +239,9 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_PARSE
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

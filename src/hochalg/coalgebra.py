@@ -308,8 +308,7 @@ def primitive_basis(
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
     matrix, forests, _ = coproduct_matrix(n, alphabet_size, engine)
-    vectors = linalg.kernel_basis(matrix)
-    return [Element(zip(forests, vec)) for vec in vectors]
+    return [Element._of({forests[j]: row[j] for j in sorted(row)}) for row in linalg.kernel_rows(matrix)]
 
 
 def _resolve_op(which: str):

@@ -94,12 +94,9 @@ def rank(m: RatMatrix) -> int:
     return len(pivots)
 
 
-def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space, reduced row-echelon normalized.
-
-    Returns cols - rank vectors v with m @ v = 0 exactly; arranged as rows
-    of an RREF matrix (each leading coefficient 1).
-    """
+def kernel_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
+    """Basis of the right null space, reduced row-echelon normalized, as
+    sparse rows (column -> nonzero entry), each leading coefficient 1."""
     rows, pivots = _rref([dict(r) for r in m._rows], m.ncols)
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.ncols) if j not in pivot_set]
@@ -112,11 +109,18 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
                 vec[pcol] = -v
         specials.append(vec)
     normalized, _ = _rref(specials, m.ncols)
-    out = []
-    for vec in normalized:
-        if vec:
-            out.append(tuple(vec.get(j, Fraction(0)) for j in range(m.ncols)))
-    return out
+    return [vec for vec in normalized if vec]
+
+
+def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the right null space, reduced row-echelon normalized.
+
+    Returns cols - rank vectors v with m @ v = 0 exactly; arranged as rows
+    of an RREF matrix (each leading coefficient 1).  The dense form of
+    ``kernel_rows``.
+    """
+    zero = Fraction(0)
+    return [tuple(vec.get(j, zero) for j in range(m.ncols)) for vec in kernel_rows(m)]
 
 
 def is_invertible(m: RatMatrix) -> bool:

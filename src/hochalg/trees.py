@@ -13,7 +13,7 @@ safe for concurrent use without locks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -29,45 +29,54 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarTree:
     """A planar rooted tree.
 
     A leaf has ``children == ()`` and carries a generator ``label``
     (a nonnegative index into the generator alphabet).  An internal node
-    has at least two ordered children and label 0.
+    has at least two ordered children and label 0.  The leaf count, sort
+    key and hash are computed once, from the children's, by the
+    constructor, which pickling and copying also go through.
     """
 
     label: int = 0
     children: tuple[PlanarTree, ...] = ()
+    leaf_count: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.children) == 1:
+        cs = self.children
+        if len(cs) == 1:
             raise ValueError("internal nodes need at least 2 children")
-        if self.children and self.label != 0:
+        if cs and self.label != 0:
             raise ValueError("only leaves carry generator labels")
         if self.label < 0:
             raise ValueError("generator labels are nonnegative")
+        leaves = sum([c.leaf_count for c in cs]) if cs else 1
+        key = (leaves, 1, tuple([c._key for c in cs])) if cs else (1, 0, self.label)
+        object.__setattr__(self, "leaf_count", leaves)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash((self.label, cs)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (PlanarTree, (self.label, self.children))
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
-    @property
-    def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(c.leaf_count for c in self.children)
-
     def sort_key(self):
         """Canonical comparison key: leaf count, then leaf < internal, then
         the generator label (leaves) or the children keys (internal nodes)."""
-        if self.is_leaf:
-            return (1, 0, self.label)
-        return (self.leaf_count, 1, tuple(c.sort_key() for c in self.children))
+        return self._key
 
     def __lt__(self, other: PlanarTree) -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -103,20 +112,30 @@ def decompose(t: PlanarTree) -> tuple[PlanarTree, ...]:
     return t.children
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forest:
-    """A nonempty ordered word of planar rooted trees."""
+    """A nonempty ordered word of planar rooted trees.  The degree (total
+    number of leaves), sort key and hash are computed as for trees."""
 
     trees: tuple[PlanarTree, ...]
+    degree: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.trees:
+        ts = self.trees
+        if not ts:
             raise ValueError("a forest holds at least one tree")
+        degree = sum([t.leaf_count for t in ts])
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_key", (degree, -len(ts), tuple([t._key for t in ts])))
+        object.__setattr__(self, "_hash", hash((ts,)))
 
-    @property
-    def degree(self) -> int:
-        """Total number of leaves."""
-        return sum(t.leaf_count for t in self.trees)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Forest, (self.trees,))
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -134,10 +153,10 @@ class Forest:
         """Canonical comparison key: degree ascending, then number of trees
         descending (the all-leaves word comes first in each degree), then
         trees compared left to right."""
-        return (self.degree, -len(self.trees), tuple(t.sort_key() for t in self.trees))
+        return self._key
 
     def __lt__(self, other: Forest) -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __str__(self) -> str:
         return format_forest(self)
@@ -152,12 +171,7 @@ def forest(*trees: PlanarTree) -> Forest:
 
 def compare(a: Forest, b: Forest) -> int:
     """Total order on forests: -1, 0 or 1 as a <, == or > b canonically."""
-    ka, kb = a.sort_key(), b.sort_key()
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+    return (a._key > b._key) - (a._key < b._key)
 
 
 def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -251,6 +265,12 @@ class _Cursor:
         self.pos += 1
         return c
 
+    def digits(self) -> str:
+        start = self.pos
+        while self.peek().isdigit():
+            self.pos += 1
+        return self.text[start:self.pos]
+
     def skip_ws(self) -> int:
         start = self.pos
         while self.peek() in (" ", "\t"):
@@ -269,18 +289,11 @@ class _Cursor:
         return ParseError(message, self.pos)
 
 
-def _parse_label(cur: _Cursor) -> int:
-    digits = ""
-    while cur.peek().isdigit():
-        digits += cur.advance()
-    return int(digits) if digits else 0
-
-
 def _parse_tree(cur: _Cursor, alphabet_size: int | None) -> PlanarTree:
     c = cur.peek()
     if c == "|":
         cur.advance()
-        label = _parse_label(cur)
+        label = int(cur.digits() or 0)
         if alphabet_size is not None and label >= alphabet_size:
             raise cur.fail(f"unknown generator label {label} (alphabet size {alphabet_size})")
         return leaf(label)

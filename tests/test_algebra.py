@@ -270,6 +270,20 @@ class TestPbwBasis:
         for n in range(1, 7):
             assert linalg.is_invertible(pbw_matrix(n))
 
+    def test_unitriangular_check_can_fail(self):
+        from hochalg import linalg
+        from hochalg.verify import _unitriangular, pbw_matrix
+
+        m = pbw_matrix(4)
+        assert _unitriangular(m)
+        entries = {(i, j): m.entry(i, j) for i in range(m.nrows) for j in m.row(i)}
+        below = dict(entries)
+        below[(5, 2)] = Fraction(1)
+        assert not _unitriangular(linalg.RatMatrix(m.nrows, m.ncols, below))
+        scaled = dict(entries)
+        scaled[(3, 3)] = Fraction(2)
+        assert not _unitriangular(linalg.RatMatrix(m.nrows, m.ncols, scaled))
+
 
 class TestElementTextForm:
     def test_parse_example(self):

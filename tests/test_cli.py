@@ -4,6 +4,10 @@ from hochalg.algebra import parse_element
 from hochalg.cli import run
 
 
+# a tree 1,200 levels deep: deeper than the recursion limit lets the parser go
+DEEP = "[|," * 1200 + "|" + "]" * 1200
+
+
 def out_lines(capsys):
     return capsys.readouterr().out.strip().splitlines()
 
@@ -185,6 +189,24 @@ class TestContract:
 
     def test_unknown_command_rejected(self, capsys):
         assert run(["transmogrify"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["filtration", DEEP],
+            ["op", "star", DEEP, "|"],
+            ["op", "succ", "|", DEEP],
+            ["coproduct", DEEP],
+            ["coproduct", "--unital", "1 + " + DEEP],
+            ["bracket", DEEP, "|"],
+        ],
+        ids=["filtration", "op-left", "op-right", "coproduct", "coproduct-unital", "bracket"],
+    )
+    def test_deeply_nested_input_exits_two(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input nested too deeply\n"
 
     def test_printed_elements_roundtrip(self, capsys):
         from hochalg.algebra import nary_bracket, succ

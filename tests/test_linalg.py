@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hochalg.linalg import RatMatrix, identity, is_invertible, kernel_basis, matvec, rank, rref
+from hochalg.linalg import RatMatrix, identity, is_invertible, kernel_basis, kernel_rows, matvec, rank, rref
 
 
 class TestRank:
@@ -70,6 +70,21 @@ class TestKernel:
             for j, w in enumerate(vectors):
                 if i != j:
                     assert w[pivots[i]] == 0
+
+    def test_sparse_rows_expand_to_the_dense_basis(self):
+        from hochalg.coalgebra import coproduct_matrix
+
+        rng = random.Random(11)
+        matrices = [coproduct_matrix(n)[0] for n in range(1, 5)]
+        for _ in range(20):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+            entries = {(i, j): rng.randint(-2, 2) for i in range(nrows) for j in range(ncols)}
+            matrices.append(RatMatrix(nrows, ncols, entries))
+        for m in matrices:
+            rows = kernel_rows(m)
+            assert all(c and isinstance(c, Fraction) for row in rows for c in row.values())
+            dense = [tuple(row.get(j, 0) for j in range(m.ncols)) for row in rows]
+            assert dense == kernel_basis(m)
 
 
 class TestInvertibility:

@@ -203,3 +203,92 @@ class TestTextForm:
         with pytest.raises(ParseError):
             parse_tree("| |")
         assert parse_tree(" [|,|] ") == COROLLA2
+
+
+# Reference formulas for the fields a tree or forest stores at construction,
+# recomputed recursively from the structure alone.
+def reference_leaf_count(t):
+    return 1 if not t.children else sum(reference_leaf_count(c) for c in t.children)
+
+
+def reference_tree_key(t):
+    if not t.children:
+        return (1, 0, t.label)
+    return (reference_leaf_count(t), 1, tuple(reference_tree_key(c) for c in t.children))
+
+
+def reference_forest_key(f):
+    degree = sum(reference_leaf_count(t) for t in f.trees)
+    return (degree, -len(f.trees), tuple(reference_tree_key(t) for t in f.trees))
+
+
+STORED_FIELD_CASES = [(n, 1) for n in range(1, 7)] + [(n, 2) for n in range(1, 5)]
+
+
+class TestStoredFields:
+    @pytest.mark.parametrize("n,alphabet_size", STORED_FIELD_CASES)
+    def test_tree_fields_match_definitions(self, n, alphabet_size):
+        for t in enumerate_trees(n, alphabet_size):
+            assert t.sort_key() == reference_tree_key(t)
+            assert t.leaf_count == reference_leaf_count(t) == n
+
+    @pytest.mark.parametrize("n,alphabet_size", STORED_FIELD_CASES)
+    def test_forest_fields_match_definitions(self, n, alphabet_size):
+        for f in enumerate_forests(n, alphabet_size):
+            assert f.sort_key() == reference_forest_key(f)
+            assert f.degree == sum(reference_leaf_count(t) for t in f.trees) == n
+
+    def test_construction_paths_agree(self):
+        parsed = parse_tree("[[|,|1],|,[|,|]]")
+        grafted = graft([graft([leaf(), leaf(1)]), leaf(), graft([leaf(), leaf()])])
+        corolla = PlanarTree(children=(PlanarTree(), PlanarTree()))
+        direct = PlanarTree(children=(PlanarTree(children=(PlanarTree(), PlanarTree(label=1))), PlanarTree(), corolla))
+        assert parsed == grafted == direct
+        assert hash(parsed) == hash(grafted) == hash(direct)
+        assert parsed.sort_key() == grafted.sort_key() == direct.sort_key()
+
+        parsed_f = parse_forest("| [[|,|1],|,[|,|]] |1")
+        built_f = forest(leaf(), grafted, leaf(1))
+        direct_f = Forest((PlanarTree(), direct, PlanarTree(label=1)))
+        assert parsed_f == built_f == direct_f
+        assert hash(parsed_f) == hash(built_f) == hash(direct_f)
+        assert parsed_f.sort_key() == built_f.sort_key() == direct_f.sort_key()
+
+    def test_unequal_values_and_types(self):
+        assert parse_tree("[|,|1]") != parse_tree("[|1,|]")
+        assert parse_forest("| [|,|]") != parse_forest("[|,|] |")
+        assert BAR != forest(BAR)
+        assert forest(BAR) != BAR
+
+    @pytest.mark.parametrize(
+        "value,names",
+        [
+            (COROLLA2, ("label", "children", "leaf_count", "_key", "_hash")),
+            (BAR, ("label", "children", "leaf_count", "_key", "_hash")),
+            (forest(COROLLA2, BAR), ("trees", "degree", "_key", "_hash")),
+        ],
+        ids=["tree", "leaf", "forest"],
+    )
+    def test_attributes_are_read_only(self, value, names):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+    def test_pickle_and_deepcopy_roundtrip(self):
+        import copy
+        import pickle
+
+        from hochalg.algebra import parse_element
+
+        values = [
+            BAR,
+            parse_tree("[[|,|1],|,[|,|]]"),
+            parse_forest("| [[|,|],|] |1"),
+            parse_element("3/2*[|,|] | - | | |1"),
+        ]
+        for value in values:
+            for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert copied == value
+                assert hash(copied) == hash(value)
