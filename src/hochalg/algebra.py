@@ -12,8 +12,8 @@ relation
 
     (x succ y) * z + (x * y) succ z  =  x succ (y * z) + x * (y succ z).
 
-Coefficients are exact rationals throughout; no floating point is used
-anywhere in this package.
+Coefficients are exact: ``int`` in the vector core while integral,
+``Fraction`` otherwise and at every accessor; no floating point is used.
 """
 
 from __future__ import annotations
@@ -24,11 +24,16 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .trees import Forest, PlanarTree, _Cursor, _parse_forest, _starts_tree, format_forest, leaf
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
-def _collect(pairs: Iterable[tuple[Hashable, Fraction]], into: dict | None = None) -> dict:
-    """Sum (key, nonzero Fraction) pairs into ``into`` (a new dict if
+def _exact(c: Rational) -> int | Fraction:
+    """An int or a Fraction is kept; any other rational becomes a Fraction."""
+    return c if type(c) in (int, Fraction) else Fraction(c)
+
+
+def _collect(pairs: Iterable[tuple[Hashable, Rational]], into: dict | None = None) -> dict:
+    """Sum (key, nonzero coefficient) pairs into ``into`` (a new dict if
     None), deleting every key whose sum cancels to zero.  This is the one
     accumulate loop behind every vector operation of the package."""
     out = {} if into is None else into
@@ -52,18 +57,18 @@ def _items(terms) -> Iterable:
 class LinComb:
     """A finite linear combination over exact rationals.
 
-    Stored sparsely as a map key -> nonzero Fraction; the empty map is
-    the zero.  Instances behave as immutable values under +, - and
-    ``scaled``.  Subclasses fix the key type and the canonical sort key
-    of their keys (used by ``sorted_terms`` and so for all printed
-    output); two combinations are equal when they lie in the same space
-    and have the same terms.
+    Stored sparsely as a map key -> nonzero int or Fraction; the empty
+    map is the zero.  The accessors return Fractions.  Instances behave
+    as immutable values under +, - and ``scaled``.  Subclasses fix the
+    key type and the canonical sort key of their keys (used for all
+    printed output); two combinations are equal when they lie in the
+    same space and have the same terms.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Hashable, Rational] | Iterable[tuple[Hashable, Rational]] = ()):
-        self._terms = _collect((key, Fraction(c)) for key, c in _items(terms) if c)
+        self._terms = _collect((key, _exact(c)) for key, c in _items(terms) if c)
 
     @classmethod
     def _of(cls, terms: dict):
@@ -85,16 +90,19 @@ class LinComb:
         return key.sort_key()
 
     def terms(self) -> dict:
-        return dict(self._terms)
+        return {key: Fraction(c) for key, c in self._terms.items()}
 
-    def sorted_terms(self) -> list[tuple[Hashable, Fraction]]:
-        """Terms in canonical key order; the deterministic iteration used
-        for all printed output."""
+    def _sorted(self) -> list[tuple[Hashable, Rational]]:
+        """Stored terms in canonical key order, as printed."""
         sort_key = self._sort_key
         return sorted(self._terms.items(), key=lambda kv: sort_key(kv[0]))
 
+    def sorted_terms(self) -> list[tuple[Hashable, Fraction]]:
+        """Terms in canonical key order."""
+        return [(key, Fraction(c)) for key, c in self._sorted()]
+
     def coefficient(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+        return Fraction(self._terms.get(key, 0))
 
     @property
     def is_zero(self) -> bool:
@@ -120,7 +128,7 @@ class LinComb:
         return self + (-other)
 
     def scaled(self, c: Rational):
-        c = Fraction(c)
+        c = _exact(c)
         return self._like({key: c * v for key, v in self._terms.items()} if c else {})
 
 
@@ -193,7 +201,7 @@ def _bilinear(x: LinComb, y: LinComb, basis_op: Callable) -> dict:
     coefficient 1.  The key None, the unit of the unital extension, is a
     two-sided unit."""
 
-    def pairs() -> Iterator[tuple[Hashable, Fraction]]:
+    def pairs() -> Iterator[tuple[Hashable, Rational]]:
         for f, c in x._terms.items():
             for g, d in y._terms.items():
                 cd = c * d
@@ -309,7 +317,7 @@ def pbw_basis_element(f: Forest) -> Element:
 # coefficients of absolute value 1 left implicit.
 
 
-def _format_terms(pairs: list[tuple[str, Fraction]]) -> str:
+def _format_terms(pairs: list[tuple[str, Rational]]) -> str:
     if not pairs:
         return "0"
     chunks: list[str] = []
@@ -325,11 +333,11 @@ def _format_terms(pairs: list[tuple[str, Fraction]]) -> str:
 
 def format_element(x: Element) -> str:
     """Canonical text of an element; '0' for the zero element."""
-    pairs = [(format_forest(f), c) for f, c in x.sorted_terms()]
+    pairs = [(format_forest(f), c) for f, c in x._sorted()]
     return _format_terms(pairs)
 
 
-def _parse_rational(cur: _Cursor) -> Fraction:
+def _parse_rational(cur: _Cursor) -> int | Fraction:
     num = int(cur.digits())
     if cur.peek() == "/":
         cur.advance()
@@ -340,13 +348,13 @@ def _parse_rational(cur: _Cursor) -> Fraction:
         if den == 0:
             raise cur.fail("zero denominator")
         return Fraction(num, den)
-    return Fraction(num)
+    return num
 
 
 def _parse_term(cur: _Cursor, alphabet_size: int | None, unital: bool):
     """One term: (coefficient, basis) where basis is a Forest or None for
     the unit (unital mode), or (coefficient, 'zero') for a bare 0."""
-    coeff = Fraction(1)
+    coeff = 1
     if cur.peek().isdigit():
         value = _parse_rational(cur)
         mark = cur.pos
@@ -358,7 +366,7 @@ def _parse_term(cur: _Cursor, alphabet_size: int | None, unital: bool):
         else:
             cur.pos = mark
             if value == 0:
-                return Fraction(0), "zero"
+                return 0, "zero"
             if unital and value == 1:
                 return coeff, None
             raise cur.fail("expected '*' and a forest after a coefficient")
@@ -373,17 +381,17 @@ def _parse_term(cur: _Cursor, alphabet_size: int | None, unital: bool):
 def _parse_element_into(cur: _Cursor, alphabet_size: int | None, unital: bool):
     """Shared element parser; returns the (slot, coefficient) terms, with
     the slot None for the unit (unital mode only)."""
-    terms: list[tuple[Forest | None, Fraction]] = []
+    terms: list[tuple[Forest | None, Rational]] = []
     cur.skip_ws()
-    sign = Fraction(1)
+    sign = 1
     if cur.peek() in ("+", "-"):
         if cur.advance() == "-":
-            sign = Fraction(-1)
+            sign = -1
         cur.skip_ws()
     while True:
         coeff, basis = _parse_term(cur, alphabet_size, unital)
         if basis != "zero":
-            terms.append((basis, sign * coeff))
+            terms.append((basis, coeff if sign > 0 else -coeff))
         cur.skip_ws()
         if cur.at_end():
             return terms
@@ -392,7 +400,7 @@ def _parse_element_into(cur: _Cursor, alphabet_size: int | None, unital: bool):
             raise cur.fail(f"expected '+' or '-', got {op!r}")
         cur.advance()
         cur.skip_ws()
-        sign = Fraction(1) if op == "+" else Fraction(-1)
+        sign = 1 if op == "+" else -1
 
 
 def parse_element(text: str, alphabet_size: int | None = None) -> Element:

@@ -85,8 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as handle:
-        return [line.strip() for line in handle if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return [line.strip() for line in handle if line.strip()]
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _batch_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> list[str]:

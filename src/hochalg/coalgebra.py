@@ -39,6 +39,7 @@ from .algebra import (
     _collect,
     _concat,
     _Cursor,
+    _exact,
     _format_terms,
     _items,
     _parse_element_into,
@@ -106,7 +107,7 @@ class TensorElement(LinComb):
         return super().__add__(other)
 
     def map_slot(
-        self, index: int, fn: Callable[[Slot], Iterable[tuple[Slot, Fraction]]]
+        self, index: int, fn: Callable[[Slot], Iterable[tuple[Slot, Rational]]]
     ) -> TensorElement:
         """Substitute fn(slot), (slot, nonzero coefficient) pairs, for slot ``index``."""
         return self._like(
@@ -129,7 +130,7 @@ def tensor_of_elements(*factors: LinComb) -> TensorElement:
 
     The factors may be unital elements, whose unit is the slot None.
     """
-    acc: list[tuple[tuple[Slot, ...], Fraction]] = [((), _ONE)]
+    acc: list[tuple[tuple[Slot, ...], Rational]] = [((), _ONE)]
     for x in factors:
         acc = [(key + (s,), c * d) for key, c in acc for s, d in x._terms.items()]
     return TensorElement(len(factors))._like(_collect(acc))
@@ -360,7 +361,7 @@ class UnitalElement(LinComb):
     __slots__ = ()
 
     def __init__(self, unit: Rational, body: Element):
-        unit = Fraction(unit)
+        unit = _exact(unit)
         self._terms = {None: unit, **body._terms} if unit else dict(body._terms)
 
     _sort_key = staticmethod(_slot_key)
@@ -449,11 +450,11 @@ def _slot_text(s: Slot) -> str:
 def format_tensor(t: TensorElement) -> str:
     """Canonical text of a tensor: factors joined by ' (x) ', unit slots
     printed as '1'; '0' for the zero tensor."""
-    return _format_terms([(" (x) ".join(map(_slot_text, key)), c) for key, c in t.sorted_terms()])
+    return _format_terms([(" (x) ".join(map(_slot_text, key)), c) for key, c in t._sorted()])
 
 
 def format_unital_element(x: UnitalElement) -> str:
-    return _format_terms([(_slot_text(s), c) for s, c in x.sorted_terms()])
+    return _format_terms([(_slot_text(s), c) for s, c in x._sorted()])
 
 
 def parse_unital_element(text: str, alphabet_size: int | None = None) -> UnitalElement:

@@ -1,7 +1,7 @@
 """Exact rational sparse matrices: rank, kernel, invertibility.
 
-Elimination is fraction-free in spirit but simply exact: entries are
-``fractions.Fraction`` and pivots are chosen by column order (first
+Elimination is exact: entries are ``int`` while integral, ``Fraction``
+otherwise and at the accessors.  Pivots are chosen by column order (first
 nonzero row), never by magnitude, so results are reproducible and do not
 depend on row insertion order.  Matrices here stay at desk scale (a few
 thousand columns at most).
@@ -13,6 +13,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping
 
+from .algebra import _exact
+
 
 class RatMatrix:
     """Immutable sparse matrix over the rationals, stored row-wise."""
@@ -22,29 +24,29 @@ class RatMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         self.nrows = nrows
         self.ncols = ncols
-        rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+        rows: list[dict] = [{} for _ in range(nrows)]
         items = entries.items() if isinstance(entries, Mapping) else entries
         for (i, j), v in items:
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i}, {j}) out of bounds for {nrows}x{ncols}")
-            v = Fraction(v)
+            v = _exact(v)
             if v:
                 rows[i][j] = v
         self._rows = rows
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i].get(j, Fraction(0))
+        return Fraction(self._rows[i].get(j, 0))
 
     def row(self, i: int) -> dict[int, Fraction]:
-        return dict(self._rows[i])
+        return {j: Fraction(v) for j, v in self._rows[i].items()}
 
     def __repr__(self) -> str:
         nnz = sum(len(r) for r in self._rows)
         return f"RatMatrix({self.nrows}x{self.ncols}, {nnz} nonzero)"
 
 
-def _rref(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _rref(rows: list[dict], ncols: int, reduced: bool = True) -> tuple[list[dict], list[int]]:
+    """In-place echelon form, pivots 1, reduced if ``reduced``; returns (rows, pivot columns)."""
     pivots: list[int] = []
     pivot_row = 0
     for col in range(ncols):
@@ -58,9 +60,10 @@ def _rref(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[dict[int, F
         rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
         pv = rows[pivot_row][col]
         if pv != 1:
-            rows[pivot_row] = {j: v / pv for j, v in rows[pivot_row].items()}
+            inv = -1 if pv == -1 else 1 / Fraction(pv)  # -1 keeps an int row int
+            rows[pivot_row] = {j: v * inv for j, v in rows[pivot_row].items()}
         prow = rows[pivot_row]
-        for r in range(len(rows)):
+        for r in range(0 if reduced else pivot_row + 1, len(rows)):
             if r == pivot_row:
                 continue
             factor = rows[r].get(col)
@@ -68,7 +71,7 @@ def _rref(rows: list[dict[int, Fraction]], ncols: int) -> tuple[list[dict[int, F
                 continue
             target = rows[r]
             for j, v in prow.items():
-                new = target.get(j, Fraction(0)) - factor * v
+                new = target.get(j, 0) - factor * v
                 if new:
                     target[j] = new
                 else:
@@ -89,8 +92,8 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
 
 
 def rank(m: RatMatrix) -> int:
-    """Exact rank over the rationals."""
-    _, pivots = _rref([dict(r) for r in m._rows], m.ncols)
+    """Exact rank over the rationals; an unreduced echelon form suffices."""
+    _, pivots = _rref([dict(r) for r in m._rows], m.ncols, reduced=False)
     return len(pivots)
 
 
@@ -100,16 +103,16 @@ def kernel_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
     rows, pivots = _rref([dict(r) for r in m._rows], m.ncols)
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.ncols) if j not in pivot_set]
-    specials: list[dict[int, Fraction]] = []
+    specials: list[dict] = []
     for j in free_cols:
-        vec = {j: Fraction(1)}
+        vec = {j: 1}
         for r, pcol in enumerate(pivots):
             v = rows[r].get(j)
             if v:
                 vec[pcol] = -v
         specials.append(vec)
     normalized, _ = _rref(specials, m.ncols)
-    return [vec for vec in normalized if vec]
+    return [{j: Fraction(c) for j, c in vec.items()} for vec in normalized if vec]
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
@@ -137,4 +140,4 @@ def matvec(m: RatMatrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 
 def identity(n: int) -> RatMatrix:
-    return RatMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
+    return RatMatrix(n, n, {(i, i): 1 for i in range(n)})

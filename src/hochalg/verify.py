@@ -257,7 +257,7 @@ def pbw_matrix(n: int) -> linalg.RatMatrix:
     index = {f: i for i, f in enumerate(forests)}
     entries = {}
     for col, f in enumerate(forests):
-        for g, c in pbw_basis_element(f).terms().items():
+        for g, c in pbw_basis_element(f)._terms.items():
             entries[(index[g], col)] = c
     return linalg.RatMatrix(len(forests), len(forests), entries)
 
@@ -265,7 +265,7 @@ def pbw_matrix(n: int) -> linalg.RatMatrix:
 def _unitriangular(m: linalg.RatMatrix) -> bool:
     """Upper unitriangular: for the PBW matrix, pbw(f) = f + strictly
     earlier forests in the canonical order, coefficient 1 on f."""
-    return all(m.entry(i, i) == 1 and min(m.row(i)) == i for i in range(m.nrows))
+    return all(m.entry(i, i) == 1 and min(m._rows[i]) == i for i in range(m.nrows))
 
 
 def suite_pbw(max_degree: int = 5, engine: CoproductEngine | None = None) -> list[CheckResult]:

@@ -208,6 +208,16 @@ class TestContract:
         assert captured.out == ""
         assert captured.err == "error: input nested too deeply\n"
 
+    @pytest.mark.parametrize("command", ["coproduct", "bracket", "filtration"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_file_exits_two(self, tmp_path, capsys, command, target):
+        path = tmp_path / "absent.txt" if target == "missing" else tmp_path
+        assert run([command, "--from-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = "No such file or directory" if target == "missing" else "Is a directory"
+        assert captured.err == f"error: cannot read {path}: {reason}\n"
+
     def test_printed_elements_roundtrip(self, capsys):
         from hochalg.algebra import nary_bracket, succ
 

@@ -2,8 +2,36 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hochalg.linalg import RatMatrix, identity, is_invertible, kernel_basis, kernel_rows, matvec, rank, rref
+
+small_rational = st.one_of(
+    st.just(0), st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rectangular matrices mixing random rows, zero rows and (scaled)
+    repeats of earlier rows."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rows: list[dict] = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append({})
+        elif kind == "repeat" and rows:
+            c = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+            rows.append({j: c * v for j, v in draw(st.sampled_from(rows)).items()})
+        else:
+            rows.append({j: draw(small_rational) for j in range(ncols)})
+    return RatMatrix(nrows, ncols, {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
+
+
+def _matrix(rows):
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    return RatMatrix(len(rows), len(rows[0]), entries)
 
 
 class TestRank:
@@ -22,6 +50,48 @@ class TestRank:
     def test_rational_pivoting(self):
         m = RatMatrix(2, 2, {(0, 0): Fraction(1, 3), (0, 1): 2, (1, 0): 1, (1, 1): 6})
         assert rank(m) == 1
+
+
+class TestEchelonRank:
+    """rank stops at an unreduced echelon form; rref reduces fully."""
+
+    @given(rational_matrices())
+    @example(_matrix([[0, 0, 0], [1, 2, 3], [1, 2, 3], [0, 0, 0], [2, 4, 6]]))
+    @example(_matrix([[0, 1, 2, 0], [3, 0, 1, 1], [0, 2, 4, 0]]))
+    @example(_matrix([[0, 1], [1, 0], [1, 1], [Fraction(1, 2), 0], [0, 0]]))
+    def test_rank_matches_rref_pivots(self, m):
+        assert rank(m) == len(rref(m)[1])
+
+    def test_unitriangular_with_a_zeroed_diagonal_entry_is_singular(self):
+        n = 6
+        upper = {(i, j): (i + 2 * j) % 5 - 2 for i in range(n) for j in range(i + 1, n)}
+        upper.update({(i, i): 1 for i in range(n)})
+        assert is_invertible(RatMatrix(n, n, upper))
+        for k in range(n):
+            zeroed = dict(upper)
+            zeroed[(k, k)] = 0
+            m = RatMatrix(n, n, zeroed)
+            assert not is_invertible(m)
+            assert rank(m) == len(rref(m)[1]) == n - 1
+
+    def test_lower_triangular_needs_elimination_below_pivots(self):
+        n = 6
+        lower = RatMatrix(n, n, {(i, j): 2 if i == j else i + j for i in range(n) for j in range(i + 1)})
+        assert rank(lower) == n
+        assert is_invertible(lower)
+
+    def test_fill_in_below_the_pivots(self):
+        # eliminating column 0 puts a new entry into row 1 at column 3
+        m = _matrix([[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 2]])
+        assert rank(m) == 4
+        assert is_invertible(m)
+
+    def test_unitriangularity_is_not_invertibility(self):
+        from hochalg.verify import _unitriangular
+
+        swap = _matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        assert is_invertible(swap)
+        assert not _unitriangular(swap)
 
 
 class TestKernel:
