@@ -247,6 +247,8 @@ def iterated_coproduct(x: Element, r: int, engine: CoproductEngine | None = None
     engine = engine or _DEFAULT_ENGINE
     acc = engine.coproduct(x)
     for _ in range(r - 1):
+        if acc.is_zero:
+            return TensorElement.zero(r + 1)
         acc = apply_coproduct_at(acc, 0, engine)
     return acc
 

@@ -99,20 +99,21 @@ def rank(m: RatMatrix) -> int:
 
 def kernel_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
     """Basis of the right null space, reduced row-echelon normalized, as
-    sparse rows (column -> nonzero entry), each leading coefficient 1."""
-    rows, pivots = _rref([dict(r) for r in m._rows], m.ncols)
+    sparse rows (column -> nonzero entry), each leading coefficient 1.
+
+    One elimination, over the reversed column order: there the special
+    vector of a free column j is 1 at j plus entries at pivot columns to
+    the right of j only, so the specials, by j, are already the RREF.
+    """
+    last = m.ncols - 1
+    rows, pivots = _rref([{last - j: v for j, v in r.items()} for r in m._rows], m.ncols)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m.ncols) if j not in pivot_set]
-    specials: list[dict] = []
-    for j in free_cols:
-        vec = {j: 1}
-        for r, pcol in enumerate(pivots):
-            v = rows[r].get(j)
-            if v:
-                vec[pcol] = -v
-        specials.append(vec)
-    normalized, _ = _rref(specials, m.ncols)
-    return [{j: Fraction(c) for j, c in vec.items()} for vec in normalized if vec]
+    specials = {j: {j: 1} for j in range(m.ncols) if last - j not in pivot_set}
+    for row, pcol in zip(rows, pivots):
+        for j, v in row.items():
+            if j != pcol:
+                specials[last - j][last - pcol] = -v
+    return [{j: Fraction(c) for j, c in vec.items()} for vec in specials.values()]
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
@@ -131,13 +132,3 @@ def is_invertible(m: RatMatrix) -> bool:
     if m.nrows != m.ncols:
         raise ValueError(f"invertibility needs a square matrix, got {m.nrows}x{m.ncols}")
     return rank(m) == m.nrows
-
-
-def matvec(m: RatMatrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    if len(v) != m.ncols:
-        raise ValueError("vector length does not match column count")
-    return tuple(sum((c * v[j] for j, c in row.items()), Fraction(0)) for row in m._rows)
-
-
-def identity(n: int) -> RatMatrix:
-    return RatMatrix(n, n, {(i, i): 1 for i in range(n)})

@@ -6,6 +6,10 @@ accept an optional CoproductEngine so the negative-control tests can run
 them against a deliberately broken coproduct; without one, every
 coproduct falls back to the shared default engine of ``coalgebra``, so
 one verify run fills one memo.
+
+Every exhaustive sweep has the same shape: ``_basis_tuples`` enumerates
+the tuples of basis elements of bounded total degree, degree by degree,
+and ``_tally`` runs the identity on each and reports how many it saw.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
 from .algebra import (
@@ -51,7 +55,7 @@ from .series import (
     schroeder,
     tinf_series,
 )
-from .trees import compositions, enumerate_forests, enumerate_trees, parse_forest
+from .trees import enumerate_forests, enumerate_trees, parse_forest
 
 RANDOM_SEED = 271828
 
@@ -86,19 +90,34 @@ def random_element(
     return Element(terms)
 
 
-def _degree_tuples(total: int, arity: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of arity positive degrees summing to at most total."""
-    for n in range(arity, total + 1):
-        yield from compositions(n, arity)
+def _elements(n: int) -> list[Element]:
+    """The basis forests of degree n as elements."""
+    return [Element.from_forest(f) for f in enumerate_forests(n)]
+
+
+def _unital_basis(n: int) -> list[UnitalElement]:
+    """The unital basis in degree n: 1 in degree 0, the forests above it."""
+    return [ONE] if n == 0 else [UnitalElement.from_element(x) for x in _elements(n)]
 
 
 def _basis_tuples(
-    total_degree: int, arity: int, basis: Callable[[int], list] = enumerate_forests
+    total: int, arity: int, basis: Callable[[int], Sequence] = _elements, lowest: int = 1
 ) -> Iterator[tuple]:
-    """All tuples of basis elements, basis(d) in degree d, whose degrees
-    sum to at most total_degree (basis forests by default)."""
-    for degs in _degree_tuples(total_degree, arity):
-        yield from itertools.product(*map(basis, degs))
+    """All tuples of arity basis elements, basis(d) in degree d >= lowest,
+    whose degrees sum to at most total; one degree tuple at a time."""
+    for degs in itertools.product(range(lowest, total + 1), repeat=arity):
+        if sum(degs) <= total:
+            yield from itertools.product(*map(basis, degs))
+
+
+def _tally(suite: str, label: str, cases: Iterable[tuple], holds: Callable[..., bool]) -> CheckResult:
+    """PASS iff holds(*case) for every case; ``{count}`` in label becomes
+    the number of cases.  Every case runs, also after a failure."""
+    count = bad = 0
+    for case in cases:
+        count += 1
+        bad += not holds(*case)
+    return _result(suite, label.format(count=count), bad == 0)
 
 
 # --- suites -------------------------------------------------------------
@@ -169,73 +188,50 @@ def suite_cocycle(
 ) -> list[CheckResult]:
     """The Hochschild two-cocycle relation, exhaustively on basis triples
     of bounded total degree and on seeded random elements."""
-    bad = 0
-    count = 0
-    for x, y, z in _basis_tuples(max_degree, 3):
-        count += 1
-        if not _cocycle_holds(Element.from_forest(x), Element.from_forest(y), Element.from_forest(z)):
-            bad += 1
-    out = [
-        _result("cocycle", f"all {count} basis triples, total degree <= {max_degree}", bad == 0)
-    ]
     rng = random.Random(RANDOM_SEED)
-    rand_bad = sum(
-        not _cocycle_holds(random_element(rng), random_element(rng), random_element(rng))
-        for _ in range(n_random)
-    )
-    out.append(_result("cocycle", f"{n_random} random element triples", rand_bad == 0))
-    return out
+    randoms = ((random_element(rng), random_element(rng), random_element(rng)) for _ in range(n_random))
+    label = f"all {{count}} basis triples, total degree <= {max_degree}"
+    return [
+        _tally("cocycle", label, _basis_tuples(max_degree, 3), _cocycle_holds),
+        _tally("cocycle", "{count} random element triples", randoms, _cocycle_holds),
+    ]
 
 
 def suite_coassoc(max_degree: int = 6, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """(D (x) id) D == (id (x) D) D on all basis forests."""
-    bad = 0
-    count = 0
-    for n in range(1, max_degree + 1):
-        for f in enumerate_forests(n):
-            count += 1
-            d = iterated_coproduct(Element.from_forest(f), 1, engine)
-            if apply_coproduct_at(d, 0, engine) != apply_coproduct_at(d, 1, engine):
-                bad += 1
-    return [_result("coassoc", f"all {count} basis forests, degree <= {max_degree}", bad == 0)]
+
+    def coassociative(x: Element) -> bool:
+        d = iterated_coproduct(x, 1, engine)
+        return apply_coproduct_at(d, 0, engine) == apply_coproduct_at(d, 1, engine)
+
+    label = f"all {{count}} basis forests, degree <= {max_degree}"
+    return [_tally("coassoc", label, _basis_tuples(max_degree, 1), coassociative)]
 
 
 def suite_compat(max_degree: int = 5, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """Both compatibility rules, recursion versus formula, on all basis
     pairs of bounded total degree."""
-    out = []
-    for which in ("star", "succ"):
-        bad = 0
-        count = 0
-        for x, y in _basis_tuples(max_degree, 2):
-            count += 1
-            if not check_compatibility(
-                Element.from_forest(x), Element.from_forest(y), which, engine
-            ):
-                bad += 1
-        out.append(
-            _result(
-                "compat", f"{which} rule on {count} basis pairs, total degree <= {max_degree}", bad == 0
-            )
+    return [
+        _tally(
+            "compat",
+            f"{which} rule on {{count}} basis pairs, total degree <= {max_degree}",
+            _basis_tuples(max_degree, 2),
+            lambda x, y: check_compatibility(x, y, which, engine),
         )
-    return out
+        for which in ("star", "succ")
+    ]
 
 
 def suite_filtration(max_degree: int = 7, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """Connectedness: the filtration level never exceeds the degree, and
     the degree-fold coproduct vanishes."""
-    bad = 0
-    count = 0
-    for n in range(1, max_degree + 1):
-        for f in enumerate_forests(n):
-            count += 1
-            x = Element.from_forest(f)
-            level = filtration_level(x, engine)
-            if not (1 <= level <= n):
-                bad += 1
-            elif not iterated_coproduct(x, n, engine).is_zero:
-                bad += 1
-    return [_result("filtration", f"all {count} basis forests, degree <= {max_degree}", bad == 0)]
+
+    def connected(x: Element) -> bool:
+        n = x.max_degree()
+        return 1 <= filtration_level(x, engine) <= n and iterated_coproduct(x, n, engine).is_zero
+
+    label = f"all {{count}} basis forests, degree <= {max_degree}"
+    return [_tally("filtration", label, _basis_tuples(max_degree, 1), connected)]
 
 
 def suite_primdims(max_degree: int = 5, engine: CoproductEngine | None = None) -> list[CheckResult]:
@@ -291,35 +287,23 @@ def suite_brackets(max_degree: int = 5, engine: CoproductEngine | None = None) -
     """Brackets of primitives are primitive; products of primitives
     deconcatenate."""
     bases = {n: primitive_basis(n, engine=engine) for n in range(1, max_degree)}
-    out = []
     # the words of 2, 3 and 4 primitives are the bracket arguments
-    deconcat_bad = 0
-    deconcat_count = 0
-    for arity in (2, 3, 4):
-        bad = 0
-        count = 0
-        for args in _basis_tuples(max_degree, arity, bases.__getitem__):
-            count += 1
-            if not is_primitive(nary_bracket(list(args)), engine):
-                bad += 1
-            if iterated_coproduct(star_all(args), 1, engine) != deconcatenation_tensor(list(args)):
-                deconcat_bad += 1
-        deconcat_count += count
-        out.append(
-            _result(
-                "brackets",
-                f"{arity}-ary brackets of primitives ({count} cases), total degree <= {max_degree}",
-                bad == 0,
-            )
-        )
-    out.append(
-        _result(
+    words = {arity: list(_basis_tuples(max_degree, arity, bases.__getitem__)) for arity in (2, 3, 4)}
+
+    def deconcatenates(*word: Element) -> bool:
+        return iterated_coproduct(star_all(word), 1, engine) == deconcatenation_tensor(list(word))
+
+    out = [
+        _tally(
             "brackets",
-            f"deconcatenation of primitive products ({deconcat_count} cases), total degree <= {max_degree}",
-            deconcat_bad == 0,
+            f"{arity}-ary brackets of primitives ({{count}} cases), total degree <= {max_degree}",
+            words[arity],
+            lambda *word: is_primitive(nary_bracket(list(word)), engine),
         )
-    )
-    return out
+        for arity in words
+    ]
+    label = f"deconcatenation of primitive products ({{count}} cases), total degree <= {max_degree}"
+    return [*out, _tally("brackets", label, itertools.chain(*words.values()), deconcatenates)]
 
 
 def suite_unital(max_degree: int = 4, engine: CoproductEngine | None = None) -> list[CheckResult]:
@@ -332,33 +316,19 @@ def suite_unital(max_degree: int = 4, engine: CoproductEngine | None = None) -> 
     d_bar = unital_coproduct(bar, engine)
     expected = TensorElement(2, {(None, parse_forest("|")): 1, (parse_forest("|"), None): 1})
     out.append(_result("unital", "d(|) = 1 (x) | + | (x) 1", d_bar == expected))
-
-    # (degree, element) for 1 and every basis forest
-    basis: list[tuple[int, UnitalElement]] = [(0, ONE)]
-    for n in range(1, max_degree + 1):
-        basis.extend(
-            (n, UnitalElement.from_element(Element.from_forest(f))) for f in enumerate_forests(n)
+    out.extend(
+        _tally(
+            "unital",
+            f"minus-sign {which} rule on {{count}} unital basis pairs, total degree <= {max_degree}",
+            _basis_tuples(max_degree, 2, _unital_basis, lowest=0),
+            lambda x, y: check_unital_compatibility(x, y, which, engine),
         )
-    for which in ("star", "succ"):
-        bad = 0
-        count = 0
-        for dx, x in basis:
-            for dy, y in basis:
-                if dx + dy > max_degree:
-                    continue
-                count += 1
-                if not check_unital_compatibility(x, y, which, engine):
-                    bad += 1
-        out.append(
-            _result(
-                "unital",
-                f"minus-sign {which} rule on {count} unital basis pairs, total degree <= {max_degree}",
-                bad == 0,
-            )
-        )
+        for which in ("star", "succ")
+    )
+    first = itertools.islice(_basis_tuples(max_degree, 1, _unital_basis, lowest=0), 10)
     unit_law_ok = all(
         unital_ops(ONE, x, w) == x and unital_ops(x, ONE, w) == x
-        for _, x in basis[:10]
+        for (x,) in first
         for w in ("star", "succ")
     )
     out.append(_result("unital", "1 is a two-sided unit for both operations", unit_law_ok))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hochalg.algebra import parse_element
@@ -55,6 +57,12 @@ class TestCoproduct:
     def test_iterated(self, capsys):
         assert run(["coproduct", "| | |", "--iterate", "2"]) == 0
         assert out_lines(capsys) == ["| (x) | (x) |"]
+
+    def test_iteration_stops_once_the_tensor_is_zero(self, capsys):
+        start = time.monotonic()
+        assert run(["coproduct", "[|,|]", "--iterate", str(10**9)]) == 0
+        assert out_lines(capsys) == ["0"]
+        assert time.monotonic() - start < 5
 
     def test_unital(self, capsys):
         assert run(["coproduct", "1 + |", "--unital"]) == 0

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from hochalg.coalgebra import (
     unital_succ,
 )
 from hochalg.trees import enumerate_forests, parse_forest
-from hochalg.verify import run_suites
+from hochalg.verify import _basis_tuples, _unital_basis, run_suites
 
 E = parse_element
 F = parse_forest
@@ -96,6 +97,9 @@ class TestIteratedCoproduct:
 
     def test_arity(self):
         assert iterated_coproduct(E("| | | |"), 3).arity == 4
+
+    def test_arity_after_the_tensor_vanishes(self):
+        assert iterated_coproduct(E("| |"), 50).arity == 51
 
     def test_invalid_iteration(self):
         with pytest.raises(ValueError):
@@ -304,6 +308,19 @@ class TestEngine:
         assert failing_suites(CoproductEngine(cross_sign=-1)) == {"compat", "brackets", "unital"}
         assert failing_suites(None) == set()
         assert coproduct(E("| |")) == tensor_of_elements(E("|"), E("|"))
+
+    @pytest.mark.parametrize("max_degree", range(1, 6))
+    def test_unital_pairs_match_the_full_pair_scan(self, max_degree):
+        # the degree-bucketed sweep of the unital suite against the scan
+        # over all pairs of the (degree, element) list that it replaced
+        basis = [(0, ONE)] + [
+            (n, UnitalElement.from_element(Element.from_forest(f)))
+            for n in range(1, max_degree + 1)
+            for f in enumerate_forests(n)
+        ]
+        scanned = Counter((x, y) for dx, x in basis for dy, y in basis if dx + dy <= max_degree)
+        swept = Counter(_basis_tuples(max_degree, 2, _unital_basis, lowest=0))
+        assert swept == scanned
 
 
 class TestTensorElement:

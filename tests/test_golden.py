@@ -42,6 +42,7 @@ CASES: dict[str, list[str]] = {
     "dims_8": ["dims", "--max-degree", "8"],
     "dims_tsv": ["dims", "--max-degree", "6", "--tsv"],
     "verify_all_5": ["verify", "--max-degree", "5", "--suite", "all"],
+    "verify_all_6": ["verify", "--max-degree", "6", "--suite", "all"],
     "verify_unital_4_tsv": ["verify", "--max-degree", "4", "--suite", "unital", "--tsv"],
     "verify_pbw_6": ["verify", "--max-degree", "6", "--suite", "pbw"],
     "filtration": ["filtration", "| [|,|] | - 2*[|,[|,|]] |"],

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hochalg.linalg import RatMatrix, identity, is_invertible, kernel_basis, kernel_rows, matvec, rank, rref
+from hochalg.linalg import RatMatrix, _rref, is_invertible, kernel_basis, kernel_rows, rank, rref
 
 small_rational = st.one_of(
     st.just(0), st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -27,6 +27,33 @@ def rational_matrices(draw):
         else:
             rows.append({j: draw(small_rational) for j in range(ncols)})
     return RatMatrix(nrows, ncols, {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
+
+
+def identity(n: int) -> RatMatrix:
+    return RatMatrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def matvec(m: RatMatrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    if len(v) != m.ncols:
+        raise ValueError("vector length does not match column count")
+    return tuple(sum((c * v[j] for j, c in m.row(i).items()), Fraction(0)) for i in range(m.nrows))
+
+
+def _two_pass_kernel_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
+    """Reference kernel: RREF of m, the special vector of each free
+    column, then a second RREF over the specials."""
+    rows, pivots = _rref([m.row(i) for i in range(m.nrows)], m.ncols)
+    free_cols = [j for j in range(m.ncols) if j not in set(pivots)]
+    specials = []
+    for j in free_cols:
+        vec = {j: 1}
+        for r, pcol in enumerate(pivots):
+            v = rows[r].get(j)
+            if v:
+                vec[pcol] = -v
+        specials.append(vec)
+    normalized, _ = _rref(specials, m.ncols)
+    return [{j: Fraction(c) for j, c in vec.items()} for vec in normalized if vec]
 
 
 def _matrix(rows):
@@ -140,6 +167,20 @@ class TestKernel:
             for j, w in enumerate(vectors):
                 if i != j:
                     assert w[pivots[i]] == 0
+
+    @given(rational_matrices())
+    @example(RatMatrix(3, 4))
+    @example(_matrix([[0, 1, 2, 0], [3, 0, 1, 1], [0, 2, 4, 0]]))
+    @example(_matrix([[1, 2, 3], [2, 4, 6]]))
+    def test_single_elimination_matches_two_pass_reference(self, m):
+        assert kernel_rows(m) == _two_pass_kernel_rows(m)
+
+    def test_single_elimination_matches_two_pass_on_coproduct_matrices(self):
+        from hochalg.coalgebra import coproduct_matrix
+
+        for n in range(1, 6):
+            m = coproduct_matrix(n)[0]
+            assert kernel_rows(m) == _two_pass_kernel_rows(m)
 
     def test_sparse_rows_expand_to_the_dense_basis(self):
         from hochalg.coalgebra import coproduct_matrix
