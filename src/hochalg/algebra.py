@@ -18,9 +18,9 @@ Coefficients are exact: ``int`` in the vector core while integral,
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .trees import Forest, PlanarTree, _Cursor, _parse_forest, _starts_tree, format_forest, leaf
 

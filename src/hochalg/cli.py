@@ -37,16 +37,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enum", help="enumerate trees or forests of a given leaf count")
+    p.set_defaults(handler=_cmd_enum)
     p.add_argument("kind", choices=("trees", "forests"))
     p.add_argument("--leaves", type=int, required=True, metavar="N")
     p.add_argument("--alphabet", type=int, default=1, metavar="M")
 
     p = sub.add_parser("op", help="apply a binary operation to two elements")
+    p.set_defaults(handler=_cmd_op)
     p.add_argument("which", choices=("star", "succ"))
     p.add_argument("exprs", nargs=2, metavar="EXPR")
     p.add_argument("--alphabet", type=int, default=None, metavar="M")
 
     p = sub.add_parser("coproduct", help="infinitesimal coproduct of an element")
+    p.set_defaults(handler=_cmd_coproduct)
     p.add_argument("expr", nargs="?", metavar="EXPR")
     p.add_argument("--iterate", type=int, default=1, metavar="R")
     p.add_argument("--unital", action="store_true", help="unital coproduct on 1 + body")
@@ -54,19 +57,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-file", metavar="FILE", help="batch: one expression per line")
 
     p = sub.add_parser("bracket", help="n-ary bracket of two or more elements")
+    p.set_defaults(handler=_cmd_bracket)
     p.add_argument("exprs", nargs="*", metavar="EXPR")
     p.add_argument("--alphabet", type=int, default=None, metavar="M")
     p.add_argument("--from-file", metavar="FILE", help="read the arguments, one per line")
 
     p = sub.add_parser("primitive-basis", help="basis of the primitives in one degree")
+    p.set_defaults(handler=_cmd_primitive_basis)
     p.add_argument("--degree", type=int, required=True, metavar="N")
     p.add_argument("--alphabet", type=int, default=1, metavar="M")
 
     p = sub.add_parser("dims", help="dimension table: enumeration vs series vs known values")
+    p.set_defaults(handler=_cmd_dims)
     p.add_argument("--max-degree", type=int, required=True, metavar="N")
     p.add_argument("--tsv", action="store_true")
 
     p = sub.add_parser("verify", help="run verification suites; exit 0 iff all pass")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--max-degree", type=int, default=5, metavar="N")
     p.add_argument(
         "--suite",
@@ -77,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tsv", action="store_true")
 
     p = sub.add_parser("filtration", help="least r whose r-fold coproduct kills the element")
+    p.set_defaults(handler=_cmd_filtration)
     p.add_argument("expr", nargs="?", metavar="EXPR")
     p.add_argument("--alphabet", type=int, default=None, metavar="M")
     p.add_argument("--from-file", metavar="FILE", help="batch: one expression per line")
@@ -102,7 +110,7 @@ def _batch_inputs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return [args.expr]
 
 
-def _cmd_enum(args) -> int:
+def _cmd_enum(args, parser) -> int:
     if args.kind == "trees":
         for t in enumerate_trees(args.leaves, args.alphabet):
             print(format_tree(t))
@@ -112,7 +120,7 @@ def _cmd_enum(args) -> int:
     return EXIT_OK
 
 
-def _cmd_op(args) -> int:
+def _cmd_op(args, parser) -> int:
     x = parse_element(args.exprs[0], args.alphabet)
     y = parse_element(args.exprs[1], args.alphabet)
     result = star(x, y) if args.which == "star" else succ(x, y)
@@ -148,7 +156,7 @@ def _cmd_bracket(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_primitive_basis(args) -> int:
+def _cmd_primitive_basis(args, parser) -> int:
     for elem in primitive_basis(args.degree, args.alphabet):
         print(format_element(elem))
     return EXIT_OK
@@ -166,7 +174,7 @@ def _print_table(headers: list[str], rows: list[list[str]], tsv: bool) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args, parser) -> int:
     n = args.max_degree
     trees_series = tinf_series(n)
     forests_series = hoch_series(n)
@@ -190,7 +198,7 @@ def _cmd_dims(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser) -> int:
     results = verify.run_suites([args.suite], max_degree=args.max_degree)
     headers = ["status", "suite", "check"]
     rows = [["PASS" if r.passed else "FAIL", r.suite, r.name] for r in results]
@@ -216,23 +224,7 @@ def run(argv: list[str]) -> int:
         if getattr(args, "max_degree", 1) < 1:  # dims and verify
             print("--max-degree must be at least 1", file=sys.stderr)
             return EXIT_PARSE
-        if args.command == "enum":
-            return _cmd_enum(args)
-        if args.command == "op":
-            return _cmd_op(args)
-        if args.command == "coproduct":
-            return _cmd_coproduct(args, parser)
-        if args.command == "bracket":
-            return _cmd_bracket(args, parser)
-        if args.command == "primitive-basis":
-            return _cmd_primitive_basis(args)
-        if args.command == "dims":
-            return _cmd_dims(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "filtration":
-            return _cmd_filtration(args, parser)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.handler(args, parser)
     except SystemExit as exc:
         # argparse reports usage errors itself and exits 2
         return int(exc.code or 0)

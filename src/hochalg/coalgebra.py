@@ -7,13 +7,16 @@ compatibility rules
     D(x * y) = x_(1) (x) (x_(2) * y) + (x * y_(1)) (x) y_(2) + x (x) y
     D(x succ y) = x_(1) (x) (x_(2) succ y) + (x succ y_(1)) (x) y_(2) + x (x) y
 
-(Sweedler sums implied).  A forest of several trees splits as first tree
-* rest; a single node [t1, ..., tm] with m >= 3 is rewritten as
+(Sweedler sums implied).  The recursion runs on basis forests, one rule
+per forest.  A forest of several trees is first tree * rest.  A node
+t = [c1, ..., cm], m >= 2, is one of the forests of
 
-    (t1 * (t2 ... t_{m-1})) succ tm  -  t1 * ((t2 ... t_{m-1}) succ tm)
+    (c1 ... c_{m-1}) succ cm  =  t  +  sum_j  c1 ... cj [c_{j+1}, ..., cm],
 
-and a node with two children as t1 succ t2, so every recursive call
-strictly decreases the total leaf count (asserted below).
+so D(t) is the succ rule on c1 ... c_{m-1} and cm minus D of the other
+forests, j = 1, ..., m-2.  Those have t's degree but at least two trees,
+so they go down the star rule; each rule strictly decreases the leaf
+count (both asserted below).
 
 Primitives are the kernel of the coproduct; their dimension in each
 degree is a little Schroeder number, the computational witness that
@@ -26,9 +29,9 @@ added.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable, Mapping
 
 from . import linalg
 from .algebra import (
@@ -139,6 +142,11 @@ def tensor_of_elements(*factors: LinComb) -> TensorElement:
 class CoproductEngine:
     """Evaluates the coproduct recursion on basis forests.
 
+    A forest f other than a leaf is one of the forests of x op y (first
+    tree * rest, or a node's children split before the last by succ), so
+    D(f) is one rule, ``_rule``'s D(x op y), minus D(h) for the other
+    forests h of x op y.  Results are memoized per forest.
+
     ``cross_sign`` is the coefficient of the x (x) y cross term in both
     compatibility rules: +1 is the real coproduct; -1 and 0 are
     deliberately broken variants kept for negative-control verification.
@@ -146,57 +154,52 @@ class CoproductEngine:
     deconcatenation checks detect.  0 drops the cross term, the only
     nonzero seed of the recursion, so the coproduct is identically zero;
     every forest is then primitive and the primitive-dimension witness
-    detects it.  ``memoize`` caches per-forest results; disabling it must
-    not change any value.
+    detects it.
     """
 
-    def __init__(self, cross_sign: int = 1, memoize: bool = True):
+    def __init__(self, cross_sign: int = 1):
         if cross_sign not in (1, 0, -1):
             raise ValueError("cross_sign must be +1, 0 or -1")
         self.cross_sign = cross_sign
-        self.memoize = memoize
         self._memo: dict[Forest, TensorElement] = {}
 
-    def _rule(self, x: Element, y: Element, op, bound: int) -> TensorElement:
-        # Termination measure: both arguments are strictly below the leaf
-        # count of the forest being expanded.
-        assert x.max_degree() < bound and y.max_degree() < bound
-        dx = self.coproduct(x)
-        dy = self.coproduct(y)
-        left = dx.map_slot(1, lambda b: op(Element.from_forest(b), y)._terms.items())
-        right = dy.map_slot(0, lambda a: op(x, Element.from_forest(a))._terms.items())
-        return left + right + tensor_of_elements(x, y).scaled(self.cross_sign)
+    def _rule(self, f: Forest, g: Forest, basis_op) -> Iterator[tuple[tuple[Slot, Slot], Rational]]:
+        """The terms of D(f op g), where ``basis_op`` gives the forests of
+        f op g: f_(1) (x) (f_(2) op g) + (f op g_(1)) (x) g_(2) plus the
+        cross term cross_sign * f (x) g."""
+        for (a, b), c in self.coproduct_basis(f)._terms.items():
+            for h in basis_op(b, g):
+                yield (a, h), c
+        for (a, b), c in self.coproduct_basis(g)._terms.items():
+            for h in basis_op(f, a):
+                yield (h, b), c
+        if self.cross_sign:
+            yield (f, g), self.cross_sign
 
     def coproduct_basis(self, f: Forest) -> TensorElement:
         """The coproduct of a basis forest (arity-2 tensor)."""
-        if self.memoize:
-            cached = self._memo.get(f)
-            if cached is not None:
-                return cached
+        cached = self._memo.get(f)
+        if cached is not None:
+            return cached
         ts = f.trees
-        if len(ts) > 1:
-            head = Element.from_tree(ts[0])
-            rest = Element.from_forest(Forest(ts[1:]))
-            result = self._rule(head, rest, star, f.degree)
-        else:
-            t = ts[0]
-            if t.is_leaf:
-                result = TensorElement.zero(2)
-            elif len(t.children) == 2:
-                left = Element.from_tree(t.children[0])
-                right = Element.from_tree(t.children[1])
-                result = self._rule(left, right, succ, f.degree)
-            else:
-                cs = t.children
-                head = Element.from_forest(Forest(cs[:-1]))
-                last = Element.from_tree(cs[-1])
-                first = Element.from_tree(cs[0])
-                inner = succ(Element.from_forest(Forest(cs[1:-1])), last)
-                result = self._rule(head, last, succ, f.degree) - self._rule(
-                    first, inner, star, f.degree
-                )
-        if self.memoize:
-            self._memo[f] = result
+        if len(ts) > 1:  # first tree * rest
+            x, y, op = Forest(ts[:1]), Forest(ts[1:]), _concat
+        elif ts[0].is_leaf:  # generators are primitive
+            result = self._memo[f] = TensorElement.zero(2)
+            return result
+        else:  # [c1, ..., cm] is a forest of (c1 ... c_{m-1}) succ cm
+            cs = ts[0].children
+            x, y, op = Forest(cs[:-1]), Forest(cs[-1:]), _succ_forests
+        # Termination: the rule goes down in degree, and every other forest
+        # of x op y has f's degree but at least two trees, so it goes down
+        # the star rule.
+        assert x.degree < f.degree and y.degree < f.degree
+        terms = _collect(self._rule(x, y, op))
+        for h in op(x, y):
+            if h != f:
+                assert len(h) > 1
+                _collect(((key, -c) for key, c in self.coproduct_basis(h)._terms.items()), terms)
+        result = self._memo[f] = TensorElement(2)._like(terms)
         return result
 
     def coproduct(self, x: Element) -> TensorElement:

@@ -9,11 +9,11 @@ thousand columns at most).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping
 
-from .algebra import _exact
+from .algebra import _exact, _items
 
 
 class RatMatrix:
@@ -25,8 +25,7 @@ class RatMatrix:
         self.nrows = nrows
         self.ncols = ncols
         rows: list[dict] = [{} for _ in range(nrows)]
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for (i, j), v in items:
+        for (i, j), v in _items(entries):
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i}, {j}) out of bounds for {nrows}x{ncols}")
             v = _exact(v)

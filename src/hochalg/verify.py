@@ -58,6 +58,11 @@ from .series import (
 from .trees import enumerate_forests, enumerate_trees, parse_forest
 
 RANDOM_SEED = 271828
+# A random element has 1..RANDOM_TERMS terms of degree 1..RANDOM_DEGREE;
+# the cocycle suite draws RANDOM_TRIPLES triples of them.
+RANDOM_DEGREE = 3
+RANDOM_TERMS = 3
+RANDOM_TRIPLES = 100
 
 LITTLE_SCHROEDER = (1, 1, 3, 11, 45, 197, 903, 4279, 20793)
 LARGE_SCHROEDER = (1, 2, 6, 22, 90, 394, 1806, 8558, 41586)
@@ -75,14 +80,12 @@ def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResul
     return CheckResult(suite, name, bool(passed), detail)
 
 
-def random_element(
-    rng: random.Random, max_degree: int = 3, max_terms: int = 3, alphabet_size: int = 1
-) -> Element:
+def random_element(rng: random.Random) -> Element:
     """A small random linear combination of basis forests."""
     terms = []
-    for _ in range(rng.randint(1, max_terms)):
-        degree = rng.randint(1, max_degree)
-        forests = enumerate_forests(degree, alphabet_size)
+    for _ in range(rng.randint(1, RANDOM_TERMS)):
+        degree = rng.randint(1, RANDOM_DEGREE)
+        forests = enumerate_forests(degree)
         f = forests[rng.randrange(len(forests))]
         num = rng.randint(-9, 9) or 1
         den = rng.randint(1, 9)
@@ -183,13 +186,11 @@ def _cocycle_holds(x: Element, y: Element, z: Element) -> bool:
     return lhs == rhs
 
 
-def suite_cocycle(
-    max_degree: int = 6, engine: CoproductEngine | None = None, n_random: int = 100
-) -> list[CheckResult]:
+def suite_cocycle(max_degree: int = 6, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """The Hochschild two-cocycle relation, exhaustively on basis triples
     of bounded total degree and on seeded random elements."""
     rng = random.Random(RANDOM_SEED)
-    randoms = ((random_element(rng), random_element(rng), random_element(rng)) for _ in range(n_random))
+    randoms = ((random_element(rng), random_element(rng), random_element(rng)) for _ in range(RANDOM_TRIPLES))
     label = f"all {{count}} basis triples, total degree <= {max_degree}"
     return [
         _tally("cocycle", label, _basis_tuples(max_degree, 3), _cocycle_holds),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hochalg.algebra import Element, nary_bracket, parse_element, scale, star
+from hochalg.algebra import Element, nary_bracket, parse_element, scale, star, succ
 from hochalg.coalgebra import (
     ONE,
     CoproductEngine,
@@ -30,7 +30,7 @@ from hochalg.coalgebra import (
     unital_star,
     unital_succ,
 )
-from hochalg.trees import enumerate_forests, parse_forest
+from hochalg.trees import Forest, enumerate_forests, parse_forest
 from hochalg.verify import _basis_tuples, _unital_basis, run_suites
 
 E = parse_element
@@ -256,6 +256,47 @@ class TestDeconcatenationOfPrimitives:
             assert coproduct(word) == expected
 
 
+class _ElementRecursion:
+    """An independent reference for CoproductEngine: the same coproduct by
+    an element-level recursion.  Every piece is an Element, products go
+    through star and succ, and a node [c1, ..., cm] with m >= 3 runs two
+    rules, as (c1 ... c_{m-1}) succ cm - c1 * ((c2 ... c_{m-1}) succ cm)."""
+
+    def __init__(self, cross_sign):
+        self.cross_sign = cross_sign
+        self.memo = {}
+
+    def rule(self, x, y, op):
+        left = self.coproduct(x).map_slot(1, lambda b: op(Element.from_forest(b), y).terms().items())
+        right = self.coproduct(y).map_slot(0, lambda a: op(x, Element.from_forest(a)).terms().items())
+        return left + right + tensor_of_elements(x, y).scaled(self.cross_sign)
+
+    def coproduct(self, x):
+        acc = TensorElement.zero(2)
+        for f, c in x.terms().items():
+            acc = acc + self.basis(f).scaled(c)
+        return acc
+
+    def basis(self, f):
+        if f not in self.memo:
+            self.memo[f] = self._expand(f.trees)
+        return self.memo[f]
+
+    def _expand(self, ts):
+        if len(ts) > 1:
+            return self.rule(Element.from_tree(ts[0]), Element.from_forest(Forest(ts[1:])), star)
+        if ts[0].is_leaf:
+            return TensorElement.zero(2)
+        cs = ts[0].children
+        last = Element.from_tree(cs[-1])
+        if len(cs) == 2:
+            return self.rule(Element.from_tree(cs[0]), last, succ)
+        inner = succ(Element.from_forest(Forest(cs[1:-1])), last)
+        return self.rule(Element.from_forest(Forest(cs[:-1])), last, succ) - self.rule(
+            Element.from_tree(cs[0]), inner, star
+        )
+
+
 class TestEngine:
     def test_concurrent_sweep_matches_sequential(self):
         # the memo table behaves as a cache of a pure function
@@ -268,12 +309,14 @@ class TestEngine:
             results = list(pool.map(shared.coproduct_basis, forests))
         assert results == expected
 
-    def test_memoization_transparent(self):
-        plain = CoproductEngine(memoize=False)
-        memo = CoproductEngine(memoize=True)
-        for n in range(1, 6):
-            for f in enumerate_forests(n):
-                assert plain.coproduct_basis(f) == memo.coproduct_basis(f)
+    @pytest.mark.parametrize("cross_sign", [1, 0, -1])
+    @pytest.mark.parametrize("max_degree, alphabet_size", [(6, 1), (4, 2)])
+    def test_forest_recursion_matches_element_recursion(self, cross_sign, max_degree, alphabet_size):
+        engine = CoproductEngine(cross_sign)
+        reference = _ElementRecursion(cross_sign)
+        for n in range(1, max_degree + 1):
+            for f in enumerate_forests(n, alphabet_size):
+                assert engine.coproduct_basis(f) == reference.basis(f), f
 
     def test_flipped_sign_negates_everything(self):
         flipped = CoproductEngine(cross_sign=-1)
