@@ -325,33 +325,29 @@ def _resolve_op(which: str):
     raise ValueError(f"operation must be 'star'/'*' or 'succ'/'>', got {which!r}")
 
 
-def _sweedler_sides(
-    x: LinComb, y: LinComb, dx: TensorElement, dy: TensorElement, op
-) -> TensorElement:
-    """x_(1) (x) (x_(2) op y) + (x op y_(1)) (x) y_(2), assembled from the
-    coproducts dx of x and dy of y; a slot s stands for the basis element
-    with key s in the space of x and y."""
+def _rule_holds(x: LinComb, y: LinComb, op, cop, cross: int) -> bool:
+    """Exact equality of both sides of a compatibility rule,
+
+        cop(x op y) = x_(1) (x) (x_(2) op y) + (x op y_(1)) (x) y_(2) + cross * x (x) y,
+
+    with Sweedler components taken for the coproduct ``cop``.  The left
+    side applies ``cop`` to the expanded product; the right side is
+    assembled from cop(x) and cop(y), a slot s standing for the basis
+    element with key s.  Written apart from the engine's forest rule, so
+    the two evaluations are independent.
+    """
     basis = type(x)._of
-    left = dx.map_slot(1, lambda b: op(basis({b: _ONE}), y)._terms.items())
-    right = dy.map_slot(0, lambda a: op(x, basis({a: _ONE}))._terms.items())
-    return left + right
+    left = cop(x).map_slot(1, lambda b: op(basis({b: _ONE}), y)._terms.items())
+    right = cop(y).map_slot(0, lambda a: op(x, basis({a: _ONE}))._terms.items())
+    return cop(op(x, y)) == left + right + tensor_of_elements(x, y).scaled(cross)
 
 
 def check_compatibility(
     x: Element, y: Element, which: str, engine: CoproductEngine | None = None
 ) -> bool:
-    """Exact equality of both sides of a compatibility rule.
-
-    The left side expands the product to basis forests and applies the
-    coproduct recursion; the right side is assembled from the coproducts
-    of x and y by the displayed formula with the + cross term.  The two
-    evaluations are independent, so this witnesses well-definedness.
-    """
-    engine = engine or _DEFAULT_ENGINE
-    op = _resolve_op(which)
-    lhs = engine.coproduct(op(x, y))
-    rhs = _sweedler_sides(x, y, engine.coproduct(x), engine.coproduct(y), op)
-    return lhs == rhs + tensor_of_elements(x, y)
+    """The compatibility rule of ``which`` with the + cross term, both
+    sides evaluated independently; this witnesses well-definedness."""
+    return _rule_holds(x, y, _resolve_op(which), (engine or _DEFAULT_ENGINE).coproduct, 1)
 
 
 # --- unital extension ---------------------------------------------------
@@ -437,12 +433,8 @@ def check_unital_compatibility(
     with Sweedler components taken for d.  Both sides are evaluated
     independently and compared exactly.
     """
-    engine = engine or _DEFAULT_ENGINE
     op = unital_star if _resolve_op(which) is star else unital_succ
-    lhs = unital_coproduct(op(x, y), engine)
-    dx = unital_coproduct(x, engine)
-    dy = unital_coproduct(y, engine)
-    return lhs == _sweedler_sides(x, y, dx, dy, op) - tensor_of_elements(x, y)
+    return _rule_holds(x, y, op, lambda z: unital_coproduct(z, engine), -1)
 
 
 # --- text form ----------------------------------------------------------

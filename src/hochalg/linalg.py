@@ -1,15 +1,14 @@
 """Exact rational sparse matrices: rank, kernel, invertibility.
 
 Elimination is exact: entries are ``int`` while integral, ``Fraction``
-otherwise and at the accessors.  Pivots are chosen by column order (first
-nonzero row), never by magnitude, so results are reproducible and do not
-depend on row insertion order.  Matrices here stay at desk scale (a few
-thousand columns at most).
+otherwise and at the accessors.  Rows are eliminated one at a time, each
+pivot at its row's first column; the RREF is unique, so results do not
+depend on row order.  Desk scale: the degree-8 matrices have 8,558 columns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from numbers import Rational
 
@@ -44,56 +43,58 @@ class RatMatrix:
         return f"RatMatrix({self.nrows}x{self.ncols}, {nnz} nonzero)"
 
 
-def _rref(rows: list[dict], ncols: int, reduced: bool = True) -> tuple[list[dict], list[int]]:
-    """In-place echelon form, pivots 1, reduced if ``reduced``; returns (rows, pivot columns)."""
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(ncols):
-        found = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r].get(col):
-                found = r
-                break
-        if found is None:
+def _subtract(target: dict, factor, row: dict) -> None:
+    """target -= factor * row, in place, dropping the entries that cancel."""
+    for j, v in row.items():
+        new = target.get(j, 0) - factor * v
+        if new:
+            target[j] = new
+        else:
+            del target[j]
+
+
+def _echelon(rows: Iterable[dict], reduced: bool) -> dict[int, dict]:
+    """Pivot column -> pivot row, 1 at its column; reduced if ``reduced``.
+
+    Each row in turn: while a pivot row starts at its first column,
+    subtract that pivot row; a row left nonzero becomes the pivot row of
+    its first column.  ``reduced`` then back-substitutes, last pivot first:
+    the later pivot rows are already zero at each other's pivot columns,
+    so one pass over the pivot columns a row holds clears them.  The input
+    rows are left unmodified.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        while row and (col := min(row)) in pivots:
+            _subtract(row, row[col], pivots[col])
+        if not row:
             continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        pv = rows[pivot_row][col]
+        pv = row[col]
         if pv != 1:
             inv = -1 if pv == -1 else 1 / Fraction(pv)  # -1 keeps an int row int
-            rows[pivot_row] = {j: v * inv for j, v in rows[pivot_row].items()}
-        prow = rows[pivot_row]
-        for r in range(0 if reduced else pivot_row + 1, len(rows)):
-            if r == pivot_row:
-                continue
-            factor = rows[r].get(col)
-            if not factor:
-                continue
-            target = rows[r]
-            for j, v in prow.items():
-                new = target.get(j, 0) - factor * v
-                if new:
-                    target[j] = new
-                else:
-                    target.pop(j, None)
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return rows, pivots
+            row = {j: v * inv for j, v in row.items()}
+        pivots[col] = row
+    if reduced:
+        for col in sorted(pivots, reverse=True):
+            row = pivots[col]
+            for j in [j for j in row if j != col and j in pivots]:
+                _subtract(row, row[j], pivots[j])
+    return pivots
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     """Reduced row echelon form and the pivot columns."""
-    rows, pivots = _rref([dict(r) for r in m._rows], m.ncols)
+    pivots = _echelon(m._rows, reduced=True)
+    cols = sorted(pivots)
     out = RatMatrix(m.nrows, m.ncols)
-    out._rows = rows
-    return out, pivots
+    out._rows = [pivots[c] for c in cols] + out._rows[len(cols):]
+    return out, cols
 
 
 def rank(m: RatMatrix) -> int:
     """Exact rank over the rationals; an unreduced echelon form suffices."""
-    _, pivots = _rref([dict(r) for r in m._rows], m.ncols, reduced=False)
-    return len(pivots)
+    return len(_echelon(m._rows, reduced=False))
 
 
 def kernel_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
@@ -105,11 +106,10 @@ def kernel_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
     the right of j only, so the specials, by j, are already the RREF.
     """
     last = m.ncols - 1
-    rows, pivots = _rref([{last - j: v for j, v in r.items()} for r in m._rows], m.ncols)
-    pivot_set = set(pivots)
-    specials = {j: {j: 1} for j in range(m.ncols) if last - j not in pivot_set}
-    for row, pcol in zip(rows, pivots):
-        for j, v in row.items():
+    pivots = _echelon(({last - j: v for j, v in r.items()} for r in m._rows), reduced=True)
+    specials = {j: {j: 1} for j in range(m.ncols) if last - j not in pivots}
+    for pcol in sorted(pivots):
+        for j, v in pivots[pcol].items():
             if j != pcol:
                 specials[last - j][last - pcol] = -v
     return [{j: Fraction(c) for j, c in vec.items()} for vec in specials.values()]

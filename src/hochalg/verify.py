@@ -76,10 +76,6 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(suite, name, bool(passed), detail)
-
-
 def random_element(rng: random.Random) -> Element:
     """A small random linear combination of basis forests."""
     terms = []
@@ -120,13 +116,13 @@ def _tally(suite: str, label: str, cases: Iterable[tuple], holds: Callable[..., 
     for case in cases:
         count += 1
         bad += not holds(*case)
-    return _result(suite, label.format(count=count), bad == 0)
+    return CheckResult(suite, label.format(count=count), bad == 0)
 
 
 # --- suites -------------------------------------------------------------
 
 
-def suite_dims(max_degree: int = 5, engine: CoproductEngine | None = None) -> list[CheckResult]:
+def suite_dims(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """Enumerated tree/forest counts against the series oracles and the
     known Schroeder values."""
     out = []
@@ -140,27 +136,25 @@ def suite_dims(max_degree: int = 5, engine: CoproductEngine | None = None) -> li
         if n <= len(LITTLE_SCHROEDER):
             t_ok = t_ok and t_count == LITTLE_SCHROEDER[n - 1]
             f_ok = f_ok and f_count == LARGE_SCHROEDER[n - 1]
-        out.append(
-            _result("dims", f"degree {n}: trees={t_count} forests={f_count}", t_ok and f_ok)
-        )
+        out.append(CheckResult("dims", f"degree {n}: trees={t_count} forests={f_count}", t_ok and f_ok))
     return out
 
 
-def suite_genfunc(max_degree: int = 12, engine: CoproductEngine | None = None) -> list[CheckResult]:
+def suite_genfunc(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """Forest series == geometric composed with tree series; convolution
     identity for the large Schroeder numbers."""
     order = max(max_degree, 2)
     lhs = hoch_series(order)
     rhs = compose(geometric_series(order), tinf_series(order))
-    out = [_result("genfunc", f"composition identity to order {order}", lhs == rhs)]
+    out = [CheckResult("genfunc", f"composition identity to order {order}", lhs == rhs)]
     conv_ok = all(
         large_by_convolution(n) == schroeder("large", n) for n in range(1, min(order, 9) + 1)
     )
-    out.append(_result("genfunc", f"convolution identity to order {min(order, 9)}", conv_ok))
+    out.append(CheckResult("genfunc", f"convolution identity to order {min(order, 9)}", conv_ok))
     return out
 
 
-def suite_products(max_degree: int = 5, engine: CoproductEngine | None = None) -> list[CheckResult]:
+def suite_products(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """The two worked magmatic products, term for term."""
     checks = [
         ("| | |", "|", "| | [|,|] + | [|,|,|] + [|,|,|,|]"),
@@ -169,14 +163,7 @@ def suite_products(max_degree: int = 5, engine: CoproductEngine | None = None) -
     out = []
     for left, right, expected in checks:
         got = format_element(succ(parse_element(left), parse_element(right)))
-        out.append(
-            _result(
-                "products",
-                f"({left}) succ ({right})",
-                got == expected,
-                f"got {got}",
-            )
-        )
+        out.append(CheckResult("products", f"({left}) succ ({right})", got == expected, f"got {got}"))
     return out
 
 
@@ -186,7 +173,7 @@ def _cocycle_holds(x: Element, y: Element, z: Element) -> bool:
     return lhs == rhs
 
 
-def suite_cocycle(max_degree: int = 6, engine: CoproductEngine | None = None) -> list[CheckResult]:
+def suite_cocycle(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """The Hochschild two-cocycle relation, exhaustively on basis triples
     of bounded total degree and on seeded random elements."""
     rng = random.Random(RANDOM_SEED)
@@ -198,7 +185,7 @@ def suite_cocycle(max_degree: int = 6, engine: CoproductEngine | None = None) ->
     ]
 
 
-def suite_coassoc(max_degree: int = 6, engine: CoproductEngine | None = None) -> list[CheckResult]:
+def suite_coassoc(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """(D (x) id) D == (id (x) D) D on all basis forests."""
 
     def coassociative(x: Element) -> bool:
@@ -209,7 +196,7 @@ def suite_coassoc(max_degree: int = 6, engine: CoproductEngine | None = None) ->
     return [_tally("coassoc", label, _basis_tuples(max_degree, 1), coassociative)]
 
 
-def suite_compat(max_degree: int = 5, engine: CoproductEngine | None = None) -> list[CheckResult]:
+def suite_compat(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """Both compatibility rules, recursion versus formula, on all basis
     pairs of bounded total degree."""
     return [
@@ -223,7 +210,7 @@ def suite_compat(max_degree: int = 5, engine: CoproductEngine | None = None) -> 
     ]
 
 
-def suite_filtration(max_degree: int = 7, engine: CoproductEngine | None = None) -> list[CheckResult]:
+def suite_filtration(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """Connectedness: the filtration level never exceeds the degree, and
     the degree-fold coproduct vanishes."""
 
@@ -235,15 +222,14 @@ def suite_filtration(max_degree: int = 7, engine: CoproductEngine | None = None)
     return [_tally("filtration", label, _basis_tuples(max_degree, 1), connected)]
 
 
-def suite_primdims(max_degree: int = 5, engine: CoproductEngine | None = None) -> list[CheckResult]:
+def suite_primdims(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """dim Prim in each degree equals the little Schroeder number."""
     out = []
     for n in range(1, max_degree + 1):
         size = len(primitive_basis(n, engine=engine))
         expected = schroeder("little", n)
-        out.append(
-            _result("primdims", f"degree {n}: dim Prim = {size}", size == expected, f"expected {expected}")
-        )
+        label = f"degree {n}: dim Prim = {size}"
+        out.append(CheckResult("primdims", label, size == expected, f"expected {expected}"))
     return out
 
 
@@ -265,13 +251,13 @@ def _unitriangular(m: linalg.RatMatrix) -> bool:
     return all(m.entry(i, i) == 1 and min(m._rows[i]) == i for i in range(m.nrows))
 
 
-def suite_pbw(max_degree: int = 5, engine: CoproductEngine | None = None) -> list[CheckResult]:
+def suite_pbw(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """PBW change of basis is unitriangular and invertible per degree."""
     out = []
     for n in range(1, max_degree + 1):
         m = pbw_matrix(n)
         ok = _unitriangular(m) and linalg.is_invertible(m)
-        out.append(_result("pbw", f"degree {n}: unitriangular and invertible", ok))
+        out.append(CheckResult("pbw", f"degree {n}: unitriangular and invertible", ok))
     return out
 
 
@@ -284,7 +270,7 @@ def deconcatenation_tensor(primitives: list[Element]) -> TensorElement:
     return acc
 
 
-def suite_brackets(max_degree: int = 5, engine: CoproductEngine | None = None) -> list[CheckResult]:
+def suite_brackets(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """Brackets of primitives are primitive; products of primitives
     deconcatenate."""
     bases = {n: primitive_basis(n, engine=engine) for n in range(1, max_degree)}
@@ -307,16 +293,16 @@ def suite_brackets(max_degree: int = 5, engine: CoproductEngine | None = None) -
     return [*out, _tally("brackets", label, itertools.chain(*words.values()), deconcatenates)]
 
 
-def suite_unital(max_degree: int = 4, engine: CoproductEngine | None = None) -> list[CheckResult]:
+def suite_unital(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """The unit laws, the two pinned coproduct values, and the minus-sign
     relations on all unital basis pairs of bounded total degree."""
     out = []
     d_one = unital_coproduct(ONE, engine)
-    out.append(_result("unital", "d(1) = 1 (x) 1", d_one == TensorElement(2, {(None, None): 1})))
+    out.append(CheckResult("unital", "d(1) = 1 (x) 1", d_one == TensorElement(2, {(None, None): 1})))
     bar = UnitalElement.from_element(Element.from_forest(parse_forest("|")))
     d_bar = unital_coproduct(bar, engine)
     expected = TensorElement(2, {(None, parse_forest("|")): 1, (parse_forest("|"), None): 1})
-    out.append(_result("unital", "d(|) = 1 (x) | + | (x) 1", d_bar == expected))
+    out.append(CheckResult("unital", "d(|) = 1 (x) | + | (x) 1", d_bar == expected))
     out.extend(
         _tally(
             "unital",
@@ -332,7 +318,7 @@ def suite_unital(max_degree: int = 4, engine: CoproductEngine | None = None) -> 
         for (x,) in first
         for w in ("star", "succ")
     )
-    out.append(_result("unital", "1 is a two-sided unit for both operations", unit_law_ok))
+    out.append(CheckResult("unital", "1 is a two-sided unit for both operations", unit_law_ok))
     return out
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hochalg.linalg import RatMatrix, _rref, is_invertible, kernel_basis, kernel_rows, rank, rref
+from hochalg.linalg import RatMatrix, is_invertible, kernel_basis, kernel_rows, rank, rref
 
 small_rational = st.one_of(
     st.just(0), st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -39,10 +39,52 @@ def matvec(m: RatMatrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(sum((c * v[j] for j, c in m.row(i).items()), Fraction(0)) for i in range(m.nrows))
 
 
+def _column_sweep(rows: list[dict], ncols: int, reduced: bool = True) -> tuple[list[dict], list[int]]:
+    """Reference elimination, the column sweep linalg used before its
+    row-by-row elimination: per column, the first remaining row holding it
+    is swapped up as the pivot row, scaled to 1 and cleared from the rows
+    below (and above, if ``reduced``).  In place; returns (rows, pivot
+    columns)."""
+    pivots: list[int] = []
+    pivot_row = 0
+    for col in range(ncols):
+        found = None
+        for r in range(pivot_row, len(rows)):
+            if rows[r].get(col):
+                found = r
+                break
+        if found is None:
+            continue
+        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
+        pv = rows[pivot_row][col]
+        if pv != 1:
+            inv = -1 if pv == -1 else 1 / Fraction(pv)  # -1 keeps an int row int
+            rows[pivot_row] = {j: v * inv for j, v in rows[pivot_row].items()}
+        prow = rows[pivot_row]
+        for r in range(0 if reduced else pivot_row + 1, len(rows)):
+            if r == pivot_row:
+                continue
+            factor = rows[r].get(col)
+            if not factor:
+                continue
+            target = rows[r]
+            for j, v in prow.items():
+                new = target.get(j, 0) - factor * v
+                if new:
+                    target[j] = new
+                else:
+                    target.pop(j, None)
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return rows, pivots
+
+
 def _two_pass_kernel_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
     """Reference kernel: RREF of m, the special vector of each free
     column, then a second RREF over the specials."""
-    rows, pivots = _rref([m.row(i) for i in range(m.nrows)], m.ncols)
+    rows, pivots = _column_sweep([m.row(i) for i in range(m.nrows)], m.ncols)
     free_cols = [j for j in range(m.ncols) if j not in set(pivots)]
     specials = []
     for j in free_cols:
@@ -52,7 +94,7 @@ def _two_pass_kernel_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
             if v:
                 vec[pcol] = -v
         specials.append(vec)
-    normalized, _ = _rref(specials, m.ncols)
+    normalized, _ = _column_sweep(specials, m.ncols)
     return [{j: Fraction(c) for j, c in vec.items()} for vec in normalized if vec]
 
 
@@ -196,6 +238,42 @@ class TestKernel:
             assert all(c and isinstance(c, Fraction) for row in rows for c in row.values())
             dense = [tuple(row.get(j, 0) for j in range(m.ncols)) for row in rows]
             assert dense == kernel_basis(m)
+
+
+class TestAgainstColumnSweep:
+    """rank, rref and kernel_rows against the column-sweep reference;
+    the RREF, rank and kernel are unique, so they must agree exactly,
+    and the input matrix stays as it was."""
+
+    @staticmethod
+    def _assert_agrees(m: RatMatrix) -> None:
+        before = [m.row(i) for i in range(m.nrows)]
+        _, ref_pivots = _column_sweep([m.row(i) for i in range(m.nrows)], m.ncols, reduced=False)
+        assert rank(m) == len(ref_pivots)
+        ref_rows, ref_pivots = _column_sweep([m.row(i) for i in range(m.nrows)], m.ncols)
+        reduced, pivots = rref(m)
+        assert pivots == ref_pivots
+        assert (reduced.nrows, reduced.ncols) == (m.nrows, m.ncols)
+        assert [reduced.row(i) for i in range(m.nrows)] == ref_rows
+        assert kernel_rows(m) == _two_pass_kernel_rows(m)
+        assert [m.row(i) for i in range(m.nrows)] == before
+
+    @given(rational_matrices())
+    @example(RatMatrix(3, 4))
+    @example(_matrix([[0, 0, 0], [1, 2, 3], [1, 2, 3], [0, 0, 0], [2, 4, 6]]))
+    @example(_matrix([[0, -1, 2, 0], [3, 0, 1, 1], [0, 2, 4, 0]]))
+    @example(_matrix([[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 2]]))
+    @example(_matrix([[0, 1], [1, 0], [1, 1], [Fraction(1, 2), 0], [0, 0]]))
+    def test_random_matrices(self, m):
+        self._assert_agrees(m)
+
+    def test_coproduct_and_pbw_matrices(self):
+        from hochalg.coalgebra import coproduct_matrix
+        from hochalg.verify import pbw_matrix
+
+        for n in range(1, 7):
+            self._assert_agrees(coproduct_matrix(n)[0])
+            self._assert_agrees(pbw_matrix(n))
 
 
 class TestInvertibility:
