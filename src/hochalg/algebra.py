@@ -50,6 +50,12 @@ def _collect(pairs: Iterable[tuple[Hashable, Rational]], into: dict | None = Non
     return out
 
 
+def _linear(terms: dict, image: Callable[[Hashable], Iterable[tuple[Hashable, Rational]]]) -> dict:
+    """Collected terms of the linear map that sends each key to image(key),
+    its (key, nonzero coefficient) pairs, applied to ``terms``."""
+    return _collect((key, c * d) for f, c in terms.items() for key, d in image(f))
+
+
 def _items(terms) -> Iterable:
     return terms.items() if isinstance(terms, Mapping) else terms
 

@@ -20,7 +20,6 @@ from .coalgebra import (
     primitive_basis,
     unital_coproduct,
 )
-from .series import hoch_series, tinf_series
 from .trees import ParseError, enumerate_forests, enumerate_trees, format_forest, format_tree
 
 EXIT_OK = 0
@@ -175,25 +174,11 @@ def _print_table(headers: list[str], rows: list[list[str]], tsv: bool) -> None:
 
 
 def _cmd_dims(args, parser) -> int:
-    n = args.max_degree
-    trees_series = tinf_series(n)
-    forests_series = hoch_series(n)
     headers = ["degree", "trees", "trees(series)", "trees(known)", "forests", "forests(series)", "forests(known)"]
-    rows = []
-    for k in range(1, n + 1):
-        known_t = str(verify.LITTLE_SCHROEDER[k - 1]) if k <= len(verify.LITTLE_SCHROEDER) else "-"
-        known_f = str(verify.LARGE_SCHROEDER[k - 1]) if k <= len(verify.LARGE_SCHROEDER) else "-"
-        rows.append(
-            [
-                str(k),
-                str(len(enumerate_trees(k))),
-                str(trees_series.coefficient(k)),
-                known_t,
-                str(len(enumerate_forests(k))),
-                str(forests_series.coefficient(k)),
-                known_f,
-            ]
-        )
+    rows = [
+        [str(n)] + ["-" if v is None else str(v) for v in (*trees, *forests)]
+        for n, trees, forests in verify.dims_table(args.max_degree)
+    ]
     _print_table(headers, rows, args.tsv)
     return EXIT_OK
 

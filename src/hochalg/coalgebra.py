@@ -45,6 +45,7 @@ from .algebra import (
     _exact,
     _format_terms,
     _items,
+    _linear,
     _parse_element_into,
     _succ_forests,
     star,
@@ -88,10 +89,15 @@ class TensorElement(LinComb):
             raise ValueError(f"tensor key {key} does not have arity {self.arity}")
         return key
 
-    def _like(self, terms: dict) -> TensorElement:
-        res = self._of(terms)
-        res.arity = self.arity
+    @classmethod
+    def _of(cls, terms: dict, arity: int) -> TensorElement:
+        """A tensor of the given arity wrapping terms that are already collected."""
+        res = super()._of(terms)
+        res.arity = arity
         return res
+
+    def _like(self, terms: dict) -> TensorElement:
+        return self._of(terms, self.arity)
 
     def _space(self):
         return (TensorElement, self.arity)
@@ -113,13 +119,17 @@ class TensorElement(LinComb):
         self, index: int, fn: Callable[[Slot], Iterable[tuple[Slot, Rational]]]
     ) -> TensorElement:
         """Substitute fn(slot), (slot, nonzero coefficient) pairs, for slot ``index``."""
-        return self._like(
-            _collect(
-                (key[:index] + (slot,) + key[index + 1:], c * d)
-                for key, c in self._terms.items()
-                for slot, d in fn(key[index])
-            )
-        )
+        return self._splice(index, 1, lambda slot: [((s,), d) for s, d in fn(slot)])
+
+    def _splice(self, index: int, width: int, image) -> TensorElement:
+        """Substitute for slot ``index`` the ``width`` slots of each
+        (slots, nonzero coefficient) pair of image(slot), linearly."""
+
+        def spliced(key):
+            head, tail = key[:index], key[index + 1:]
+            return ((head + inner + tail, d) for inner, d in image(key[index]))
+
+        return self._of(_linear(self._terms, spliced), self.arity + width - 1)
 
     def __str__(self) -> str:
         return format_tensor(self)
@@ -133,10 +143,10 @@ def tensor_of_elements(*factors: LinComb) -> TensorElement:
 
     The factors may be unital elements, whose unit is the slot None.
     """
-    acc: list[tuple[tuple[Slot, ...], Rational]] = [((), _ONE)]
-    for x in factors:
-        acc = [(key + (s,), c * d) for key, c in acc for s, d in x._terms.items()]
-    return TensorElement(len(factors))._like(_collect(acc))
+    terms: dict = {(): _ONE}
+    for x in factors:  # the keys stay distinct, so nothing is collected
+        terms = {key + (s,): c * d for key, c in terms.items() for s, d in x._terms.items()}
+    return TensorElement(len(factors))._like(terms)
 
 
 class CoproductEngine:
@@ -199,18 +209,12 @@ class CoproductEngine:
             if h != f:
                 assert len(h) > 1
                 _collect(((key, -c) for key, c in self.coproduct_basis(h)._terms.items()), terms)
-        result = self._memo[f] = TensorElement(2)._like(terms)
+        result = self._memo[f] = TensorElement._of(terms, 2)
         return result
 
     def coproduct(self, x: Element) -> TensorElement:
         """Linear extension of coproduct_basis."""
-        return TensorElement(2)._like(
-            _collect(
-                (key, c * d)
-                for f, c in x._terms.items()
-                for key, d in self.coproduct_basis(f)._terms.items()
-            )
-        )
+        return TensorElement._of(_linear(x._terms, lambda f: self.coproduct_basis(f)._terms.items()), 2)
 
 
 _DEFAULT_ENGINE = CoproductEngine()
@@ -231,13 +235,7 @@ def apply_coproduct_at(
     engine = engine or _DEFAULT_ENGINE
     if any(key[index] is None for key in t._terms):
         raise ValueError("cannot apply the nonunital coproduct to a unit slot")
-    return TensorElement(t.arity + 1)._like(
-        _collect(
-            (key[:index] + inner + key[index + 1:], c * d)
-            for key, c in t._terms.items()
-            for inner, d in engine.coproduct_basis(key[index])._terms.items()
-        )
-    )
+    return t._splice(index, 2, lambda f: engine.coproduct_basis(f)._terms.items())
 
 
 def iterated_coproduct(x: Element, r: int, engine: CoproductEngine | None = None) -> TensorElement:
@@ -292,14 +290,9 @@ def coproduct_matrix(
     """
     engine = engine or _DEFAULT_ENGINE
     forests = enumerate_forests(n, alphabet_size)
-    images = [engine.coproduct_basis(f) for f in forests]
-    keys = sorted({key for img in images for key in img._terms}, key=TensorElement._sort_key)
-    row_of = {key: i for i, key in enumerate(keys)}
-    entries = {}
-    for col, img in enumerate(images):
-        for key, c in img._terms.items():
-            entries[(row_of[key], col)] = c
-    return linalg.RatMatrix(len(keys), len(forests), entries), forests, keys
+    images = [engine.coproduct_basis(f)._terms for f in forests]
+    keys = sorted({key for img in images for key in img}, key=TensorElement._sort_key)
+    return linalg._from_columns(keys, len(forests), images), forests, keys
 
 
 def primitive_basis(
@@ -418,9 +411,7 @@ def unital_coproduct(x: UnitalElement, engine: CoproductEngine | None = None) ->
             return (((None, None), _ONE),)
         return [((None, s), _ONE), ((s, None), _ONE), *engine.coproduct_basis(s)._terms.items()]
 
-    return TensorElement(2)._like(
-        _collect((key, c * d) for s, c in x._terms.items() for key, d in slot_coproduct(s))
-    )
+    return TensorElement._of(_linear(x._terms, slot_coproduct), 2)
 
 
 def check_unital_compatibility(

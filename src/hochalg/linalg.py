@@ -8,7 +8,7 @@ depend on row order.  Desk scale: the degree-8 matrices have 8,558 columns.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from numbers import Rational
 
@@ -41,6 +41,14 @@ class RatMatrix:
     def __repr__(self) -> str:
         nnz = sum(len(r) for r in self._rows)
         return f"RatMatrix({self.nrows}x{self.ncols}, {nnz} nonzero)"
+
+
+def _from_columns(rows: Sequence[Hashable], ncols: int, images: Iterable[Mapping]) -> RatMatrix:
+    """The matrix whose column j holds the coefficients of the j-th image,
+    one row per key of ``rows``.  The images are read one at a time."""
+    row_of = {key: i for i, key in enumerate(rows)}
+    entries = (((row_of[key], j), c) for j, image in enumerate(images) for key, c in image.items())
+    return RatMatrix(len(rows), ncols, entries)
 
 
 def _subtract(target: dict, factor, row: dict) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Sequence
 
 
@@ -45,10 +44,6 @@ class PowerSeries:
             raise ValueError(f"coefficient index {n} outside 1..{self.order}")
         return self.coeffs[n - 1]
 
-    def __add__(self, other: PowerSeries) -> PowerSeries:
-        _check_order(self, other)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other: PowerSeries) -> PowerSeries:
         """Product truncated at the common order; lowest term is x^2."""
         _check_order(self, other)
@@ -62,13 +57,6 @@ class PowerSeries:
                     break
                 out[i + j - 1] += a * b
         return PowerSeries(tuple(out))
-
-    def scaled(self, c: Rational) -> PowerSeries:
-        c = Fraction(c)
-        return PowerSeries(tuple(c * a for a in self.coeffs))
-
-    def __str__(self) -> str:
-        return " + ".join(f"{c}*x^{i}" for i, c in enumerate(self.coeffs, start=1) if c) or "0"
 
 
 def _check_order(f: PowerSeries, g: PowerSeries) -> None:

@@ -12,7 +12,6 @@ safe for concurrent use without locks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -185,15 +184,19 @@ def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _trees_cached(n: int, alphabet_size: int) -> tuple[PlanarTree, ...]:
-    if n == 1:
-        return tuple(leaf(a) for a in range(alphabet_size))
-    out: list[PlanarTree] = []
-    for p in range(2, n + 1):
-        for comp in compositions(n, p):
-            for combo in itertools.product(*(_trees_cached(k, alphabet_size) for k in comp)):
-                out.append(graft(combo))
-    return tuple(sorted(out, key=PlanarTree.sort_key))
+def _forests_cached(n: int, alphabet_size: int) -> tuple[Forest, ...]:
+    """All forests of degree n, canonically ordered.  A forest of several
+    trees is a tree (a one-tree forest) followed by a forest; a tree is a
+    leaf or, above degree 1, the graft of a forest of several trees."""
+    several = [
+        f.concat(rest)
+        for k in range(1, n)
+        for f in _forests_cached(k, alphabet_size)
+        if len(f) == 1
+        for rest in _forests_cached(n - k, alphabet_size)
+    ]
+    trees = [leaf(a) for a in range(alphabet_size)] if n == 1 else [graft(f.trees) for f in several]
+    return tuple(sorted([Forest((t,)) for t in trees] + several, key=Forest.sort_key))
 
 
 def enumerate_trees(n: int, alphabet_size: int = 1) -> list[PlanarTree]:
@@ -205,17 +208,7 @@ def enumerate_trees(n: int, alphabet_size: int = 1) -> list[PlanarTree]:
         raise ValueError(f"leaf count must be positive, got {n}")
     if alphabet_size < 1:
         raise ValueError(f"alphabet size must be positive, got {alphabet_size}")
-    return list(_trees_cached(n, alphabet_size))
-
-
-@lru_cache(maxsize=None)
-def _forests_cached(n: int, alphabet_size: int) -> tuple[Forest, ...]:
-    out: list[Forest] = []
-    for k in range(1, n + 1):
-        for comp in compositions(n, k):
-            for combo in itertools.product(*(_trees_cached(m, alphabet_size) for m in comp)):
-                out.append(Forest(combo))
-    return tuple(sorted(out, key=Forest.sort_key))
+    return [f[0] for f in _forests_cached(n, alphabet_size) if len(f) == 1]
 
 
 def enumerate_forests(n: int, alphabet_size: int = 1) -> list[Forest]:

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from hochalg import verify
 from hochalg.algebra import parse_element
 from hochalg.cli import run
 
@@ -136,6 +137,16 @@ class TestDims:
         lines = out_lines(capsys)
         assert lines[0].startswith("degree")
         assert len(lines) == 4
+
+    def test_wrong_known_value_fails_in_its_degree(self, monkeypatch, capsys):
+        # negative control: the suite reads the same table that dims prints
+        wrong = list(verify.LITTLE_SCHROEDER)
+        wrong[3] = 12
+        monkeypatch.setattr(verify, "LITTLE_SCHROEDER", tuple(wrong))
+        results = verify.suite_dims(5)
+        assert [r.passed for r in results] == [True, True, True, False, True]
+        assert run(["dims", "--max-degree", "5", "--tsv"]) == 0
+        assert out_lines(capsys)[4].split("\t")[:4] == ["4", "11", "11", "12"]
 
 
 class TestVerify:

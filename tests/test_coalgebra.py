@@ -482,3 +482,71 @@ class TestUnital:
         assert format_unital_element(ONE) == "1"
         assert format_unital_element(parse_unital_element("2*1 + |")) == "2*1 + |"
         assert format_unital_element(UnitalElement(Fraction(0), Element.zero())) == "0"
+
+
+def _reference_collect(pairs):
+    """Sum (key, coefficient) pairs and drop the zero sums."""
+    acc = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def reference_apply_coproduct_at(t, index, engine):
+    """The coproduct on one slot, as a loop over the tensor's terms."""
+    return TensorElement(
+        t.arity + 1,
+        _reference_collect(
+            (key[:index] + inner + key[index + 1:], c * d)
+            for key, c in t.terms().items()
+            for inner, d in engine.coproduct_basis(key[index]).terms().items()
+        ),
+    )
+
+
+def reference_coproduct(x, engine):
+    """The linear extension of coproduct_basis, as a loop over x's terms."""
+    return TensorElement(
+        2,
+        _reference_collect(
+            (key, c * d) for f, c in x.terms().items() for key, d in engine.coproduct_basis(f).terms().items()
+        ),
+    )
+
+
+class TestLinearExtensions:
+    """The linear extensions of the coproduct against loops written out
+    here: coassociativity compares two calls of the same code, so it
+    cannot see a fault that both share."""
+
+    def test_coproduct_and_apply_at_every_forest(self):
+        engine = CoproductEngine()
+
+        def check(x):
+            d = engine.coproduct(x)
+            assert d == reference_coproduct(x, engine), x
+            for index in (0, 1):
+                expected = reference_apply_coproduct_at(d, index, engine)
+                assert apply_coproduct_at(d, index, engine) == expected, (x, index)
+
+        for n in range(1, 7):
+            forests = enumerate_forests(n)
+            for f in forests:
+                check(Element.from_forest(f))
+            # distinct coefficients on all forests of the degree, so the
+            # terms of different forests collect
+            check(Element([(f, Fraction((-1) ** i * (i + 1), 3)) for i, f in enumerate(forests)]))
+
+    def test_map_slot_matches_a_loop(self):
+        t = coproduct(E("| | | - 2*[|,|] | + 1/2*| [|,|]"))
+
+        def fn(s):
+            return [(s, 2), (F("|"), -1)]
+
+        for index in (0, 1):
+            expected = _reference_collect(
+                (key[:index] + (s,) + key[index + 1:], c * d)
+                for key, c in t.terms().items()
+                for s, d in fn(key[index])
+            )
+            assert t.map_slot(index, fn) == TensorElement(2, expected)

@@ -8,6 +8,7 @@ from hochalg.trees import (
     ParseError,
     PlanarTree,
     compare,
+    compositions,
     decompose,
     enumerate_forests,
     enumerate_trees,
@@ -119,6 +120,44 @@ class TestEnumeration:
             fs = enumerate_forests(n)
             assert len(set(fs)) == len(fs)
             assert fs == sorted(fs, key=Forest.sort_key)
+
+
+def reference_trees(n, alphabet_size):
+    """Trees by the direct construction: a leaf, or the graft of every
+    word of trees over every composition of n into two or more parts."""
+    if n == 1:
+        return [leaf(a) for a in range(alphabet_size)]
+    out = [
+        graft(combo)
+        for parts in range(2, n + 1)
+        for comp in compositions(n, parts)
+        for combo in itertools.product(*(reference_trees(k, alphabet_size) for k in comp))
+    ]
+    return sorted(out, key=PlanarTree.sort_key)
+
+
+def reference_forests(n, alphabet_size):
+    """Forests by the direct construction: every word of trees over every
+    composition of n."""
+    out = [
+        Forest(combo)
+        for parts in range(1, n + 1)
+        for comp in compositions(n, parts)
+        for combo in itertools.product(*(reference_trees(k, alphabet_size) for k in comp))
+    ]
+    return sorted(out, key=Forest.sort_key)
+
+
+class TestEnumerationAgainstCompositions:
+    """The one enumeration recursion against the construction over
+    compositions, list for list and in the same order."""
+
+    @pytest.mark.parametrize(
+        "n, alphabet_size", [(n, 1) for n in range(1, 8)] + [(n, 2) for n in range(1, 5)]
+    )
+    def test_same_lists_in_the_same_order(self, n, alphabet_size):
+        assert enumerate_trees(n, alphabet_size) == reference_trees(n, alphabet_size)
+        assert enumerate_forests(n, alphabet_size) == reference_forests(n, alphabet_size)
 
 
 class TestCompare:
