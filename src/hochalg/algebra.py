@@ -18,6 +18,7 @@ Coefficients are exact: ``int`` in the vector core while integral,
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from numbers import Rational
@@ -284,9 +285,7 @@ def nary_bracket(args: Sequence[Element]) -> Element:
     return succ(head, xn) - star(args[0], succ(inner, xn))
 
 
-_PRIMITIVE_MEMO: dict[PlanarTree, Element] = {}
-
-
+@functools.cache
 def tree_to_primitive(t: PlanarTree) -> Element:
     """The primitive element attached to a tree.
 
@@ -296,15 +295,9 @@ def tree_to_primitive(t: PlanarTree) -> Element:
     order (mostly words with more trees, but e.g. the corolla [|,|,|]
     shows up in the primitive of [|,[|,|]]).
     """
-    cached = _PRIMITIVE_MEMO.get(t)
-    if cached is not None:
-        return cached
     if t.is_leaf:
-        result = Element.from_tree(t)
-    else:
-        result = nary_bracket([tree_to_primitive(c) for c in t.children])
-    _PRIMITIVE_MEMO[t] = result
-    return result
+        return Element.from_tree(t)
+    return nary_bracket([tree_to_primitive(c) for c in t.children])
 
 
 def pbw_basis_element(f: Forest) -> Element:

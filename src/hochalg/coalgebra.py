@@ -29,6 +29,7 @@ added.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from numbers import Rational
@@ -119,17 +120,17 @@ class TensorElement(LinComb):
         self, index: int, fn: Callable[[Slot], Iterable[tuple[Slot, Rational]]]
     ) -> TensorElement:
         """Substitute fn(slot), (slot, nonzero coefficient) pairs, for slot ``index``."""
-        return self._splice(index, 1, lambda slot: [((s,), d) for s, d in fn(slot)])
+        return self._splice(index, 1, lambda slot: (((s,), d) for s, d in fn(slot)))
 
     def _splice(self, index: int, width: int, image) -> TensorElement:
         """Substitute for slot ``index`` the ``width`` slots of each
         (slots, nonzero coefficient) pair of image(slot), linearly."""
-
-        def spliced(key):
-            head, tail = key[:index], key[index + 1:]
-            return ((head + inner + tail, d) for inner, d in image(key[index]))
-
-        return self._of(_linear(self._terms, spliced), self.arity + width - 1)
+        terms = _collect(
+            (key[:index] + inner + key[index + 1:], c * d)
+            for key, c in self._terms.items()
+            for inner, d in image(key[index])
+        )
+        return self._of(terms, self.arity + width - 1)
 
     def __str__(self) -> str:
         return format_tensor(self)
@@ -143,10 +144,12 @@ def tensor_of_elements(*factors: LinComb) -> TensorElement:
 
     The factors may be unital elements, whose unit is the slot None.
     """
+    if not factors:
+        raise ValueError("tensor arity must be positive, got 0")
     terms: dict = {(): _ONE}
     for x in factors:  # the keys stay distinct, so nothing is collected
         terms = {key + (s,): c * d for key, c in terms.items() for s, d in x._terms.items()}
-    return TensorElement(len(factors))._like(terms)
+    return TensorElement._of(terms, len(factors))
 
 
 class CoproductEngine:
@@ -265,19 +268,24 @@ def filtration_level(x: Element, engine: CoproductEngine | None = None) -> int:
 
     Connectedness guarantees r <= max degree of x.  Returns 0 as the
     marker for the zero element, which lies in every filtration stage.
+
+    With D(x) = sum_b x_b (x) b over its distinct right factors b (basis
+    forests, so independent), D^r(x) = sum_b D^(r-1)(x_b) (x) b: the level
+    of x is 1 + the largest level of the x_b, each of lower degree.
     """
-    if x.is_zero:
-        return 0
     engine = engine or _DEFAULT_ENGINE
-    bound = x.max_degree()
-    level = 1
-    acc = engine.coproduct(x)
-    while not acc.is_zero:
-        level += 1
-        if level > bound:
-            raise AssertionError("filtration level exceeded the degree bound")
-        acc = apply_coproduct_at(acc, 0, engine)
-    return level
+
+    @functools.cache
+    def level(terms: frozenset) -> int:
+        lefts: dict[Forest, dict] = {}
+        for (a, b), c in engine.coproduct(Element._of(dict(terms)))._terms.items():
+            lefts.setdefault(b, {})[a] = c
+        return 1 + max((level(frozenset(x_b.items())) for x_b in lefts.values()), default=0)
+
+    result = level(frozenset(x._terms.items())) if x._terms else 0
+    if result > x.max_degree():
+        raise AssertionError("filtration level exceeded the degree bound")
+    return result
 
 
 def coproduct_matrix(

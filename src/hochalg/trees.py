@@ -12,8 +12,8 @@ safe for concurrent use without locks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 
@@ -183,7 +183,7 @@ def compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _forests_cached(n: int, alphabet_size: int) -> tuple[Forest, ...]:
     """All forests of degree n, canonically ordered.  A forest of several
     trees is a tree (a one-tree forest) followed by a forest; a tree is a

@@ -179,6 +179,12 @@ class TestFiltration:
         assert run(["filtration", "| | |"]) == 0
         assert out_lines(capsys) == ["3"]
 
+    def test_deep_right_comb(self, capsys):
+        # the r-fold coproduct tensors of this tree grow exponentially with
+        # its depth; the level is read without building them
+        assert run(["filtration", "[|," * 60 + "|" + "]" * 60]) == 0
+        assert out_lines(capsys) == ["61"]
+
     def test_zero_element(self, capsys):
         assert run(["filtration", "0"]) == 0
         assert out_lines(capsys) == ["zero-element"]

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -136,6 +137,61 @@ class TestFiltration:
             level = filtration_level(x)
             assert iterated_coproduct(x, level).is_zero
             assert iterated_coproduct(x, level + 1).is_zero
+
+
+def reference_filtration_level(x):
+    """The least r with D^r(x) = 0, applying the coproduct to the first
+    slot until the tensor vanishes."""
+    if x.is_zero:
+        return 0
+    level, acc = 1, coproduct(x)
+    while not acc.is_zero:
+        level, acc = level + 1, apply_coproduct_at(acc, 0)
+    return level
+
+
+def random_sums(count, seed):
+    """Seeded sums of forests of mixed degrees, with repeated forests so
+    that some terms collect or cancel."""
+    rng = random.Random(seed)
+    pool = forests_upto(5)
+    for _ in range(count):
+        size = rng.randint(1, 5)
+        yield Element([(rng.choice(pool), Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(size)])
+
+
+class TestFiltrationAgainstIteratedCoproducts:
+    """filtration_level reads the level from the left factors of one
+    coproduct; the reference iterates the coproduct on the first slot."""
+
+    @pytest.mark.parametrize("max_degree, alphabet_size", [(6, 1), (4, 2)])
+    def test_every_forest(self, max_degree, alphabet_size):
+        for n in range(1, max_degree + 1):
+            for f in enumerate_forests(n, alphabet_size):
+                x = Element.from_forest(f)
+                assert filtration_level(x) == reference_filtration_level(x), f
+
+    def test_random_sums(self):
+        for x in random_sums(200, seed=20081):
+            assert filtration_level(x) == reference_filtration_level(x), x
+
+    def test_builds_no_tensor_of_arity_above_two(self, monkeypatch):
+        xs = [Element.from_forest(f) for f in forests_upto(5)]
+        expected = [reference_filtration_level(x) for x in xs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("filtration_level iterated the coproduct")
+
+        of = TensorElement._of.__func__
+
+        def at_most_two(cls, terms, arity):
+            assert arity <= 2
+            return of(cls, terms, arity)
+
+        monkeypatch.setattr("hochalg.coalgebra.apply_coproduct_at", refuse)
+        monkeypatch.setattr("hochalg.coalgebra.iterated_coproduct", refuse)
+        monkeypatch.setattr(TensorElement, "_of", classmethod(at_most_two))
+        assert [filtration_level(x, CoproductEngine()) for x in xs] == expected
 
 
 class TestPrimitiveBasis:

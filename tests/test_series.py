@@ -101,6 +101,20 @@ class TestConvolutionIdentity:
             assert total == schroeder("large", n)
 
 
+class TestGenfuncWitness:
+    def test_composition_check_fails_on_a_wrong_composition(self, monkeypatch):
+        from hochalg import series, verify
+
+        def off_by_one(f, g):
+            good = compose(f, g)
+            return PowerSeries(good.coeffs[:-1] + (good.coeffs[-1] + 1,))
+
+        assert all(check.passed for check in verify.suite_genfunc(6))
+        monkeypatch.setattr(series, "compose", off_by_one)
+        monkeypatch.setattr(verify, "compose", off_by_one)
+        assert not verify.suite_genfunc(6)[0].passed
+
+
 class TestPowerSeriesType:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
