@@ -6,14 +6,18 @@ ordered word of trees.  Trees with n leaves are counted by the little
 Schroeder numbers (A001003), forests by the large Schroeder numbers
 (A006318).
 
-All values are immutable; every function here is pure, so the module is
-safe for concurrent use without locks.
+Trees and forests are hash-consed: a constructor returns the live object
+equal to its arguments when there is one, so equal values are one object
+and ``==`` and ``hash`` are identity.  Values are read-only, and the
+get-or-build step holds one module lock, so the module is safe for
+concurrent use.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import threading
+import weakref
 from typing import Iterator, Sequence
 
 
@@ -28,39 +32,61 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
-class PlanarTree:
+_LOCK = threading.Lock()
+
+
+class _Value:
+    """Base of the hash-consed, read-only values, ordered by ``_key``."""
+
+    __slots__ = ("_key", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def sort_key(self):
+        """Canonical comparison key (see the subclass)."""
+        return self._key
+
+    def __lt__(self, other) -> bool:
+        return self._key < other._key
+
+
+class PlanarTree(_Value):
     """A planar rooted tree.
 
     A leaf has ``children == ()`` and carries a generator ``label``
     (a nonnegative index into the generator alphabet).  An internal node
-    has at least two ordered children and label 0.  The leaf count, sort
-    key and hash are computed once, from the children's, by the
-    constructor, which pickling and copying also go through.
+    has at least two ordered children and label 0.  The leaf count and
+    sort key are computed once, from the children's, when the tree is
+    first built.  The sort key orders by leaf count, then leaf before
+    internal node, then the generator label (leaves) or the children's
+    keys (internal nodes).
     """
 
-    label: int = 0
-    children: tuple[PlanarTree, ...] = ()
-    leaf_count: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("label", "children", "leaf_count")
+    _made = weakref.WeakValueDictionary()
 
-    def __post_init__(self) -> None:
-        cs = self.children
-        if len(cs) == 1:
+    def __new__(cls, label: int = 0, children: tuple[PlanarTree, ...] = ()):
+        if len(children) == 1:
             raise ValueError("internal nodes need at least 2 children")
-        if cs and self.label != 0:
+        if children and label != 0:
             raise ValueError("only leaves carry generator labels")
-        if self.label < 0:
+        if label < 0:
             raise ValueError("generator labels are nonnegative")
-        leaves = sum([c.leaf_count for c in cs]) if cs else 1
-        key = (leaves, 1, tuple([c._key for c in cs])) if cs else (1, 0, self.label)
-        object.__setattr__(self, "leaf_count", leaves)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash((self.label, cs)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        with _LOCK:
+            self = cls._made.get((label, children))
+            if self is None:
+                self = object.__new__(cls)
+                leaves = sum([c.leaf_count for c in children]) if children else 1
+                key = (leaves, 1, tuple([c._key for c in children])) if children else (1, 0, label)
+                names = ("label", "children", "leaf_count", "_key")
+                for name, value in zip(names, (label, children, leaves, key)):
+                    object.__setattr__(self, name, value)
+                cls._made[label, children] = self
+        return self
 
     def __reduce__(self):
         return (PlanarTree, (self.label, self.children))
@@ -68,14 +94,6 @@ class PlanarTree:
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def sort_key(self):
-        """Canonical comparison key: leaf count, then leaf < internal, then
-        the generator label (leaves) or the children keys (internal nodes)."""
-        return self._key
-
-    def __lt__(self, other: PlanarTree) -> bool:
-        return self._key < other._key
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -111,27 +129,28 @@ def decompose(t: PlanarTree) -> tuple[PlanarTree, ...]:
     return t.children
 
 
-@dataclass(frozen=True, slots=True)
-class Forest:
-    """A nonempty ordered word of planar rooted trees.  The degree (total
-    number of leaves), sort key and hash are computed as for trees."""
+class Forest(_Value):
+    """A nonempty ordered word of planar rooted trees, hash-consed like
+    trees.  The sort key orders by degree (total number of leaves)
+    ascending, then number of trees descending (the all-leaves word comes
+    first in each degree), then trees compared left to right."""
 
-    trees: tuple[PlanarTree, ...]
-    degree: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("trees", "degree")
+    _made = weakref.WeakValueDictionary()
 
-    def __post_init__(self) -> None:
-        ts = self.trees
-        if not ts:
+    def __new__(cls, trees: tuple[PlanarTree, ...]):
+        if not trees:
             raise ValueError("a forest holds at least one tree")
-        degree = sum([t.leaf_count for t in ts])
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_key", (degree, -len(ts), tuple([t._key for t in ts])))
-        object.__setattr__(self, "_hash", hash((ts,)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        with _LOCK:
+            self = cls._made.get(trees)
+            if self is None:
+                self = object.__new__(cls)
+                degree = sum([t.leaf_count for t in trees])
+                key = (degree, -len(trees), tuple([t._key for t in trees]))
+                for name, value in zip(("trees", "degree", "_key"), (trees, degree, key)):
+                    object.__setattr__(self, name, value)
+                cls._made[trees] = self
+        return self
 
     def __reduce__(self):
         return (Forest, (self.trees,))
@@ -147,15 +166,6 @@ class Forest:
 
     def concat(self, other: Forest) -> Forest:
         return Forest(self.trees + other.trees)
-
-    def sort_key(self):
-        """Canonical comparison key: degree ascending, then number of trees
-        descending (the all-leaves word comes first in each degree), then
-        trees compared left to right."""
-        return self._key
-
-    def __lt__(self, other: Forest) -> bool:
-        return self._key < other._key
 
     def __str__(self) -> str:
         return format_forest(self)

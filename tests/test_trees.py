@@ -302,16 +302,17 @@ class TestStoredFields:
     @pytest.mark.parametrize(
         "value,names",
         [
-            (COROLLA2, ("label", "children", "leaf_count", "_key", "_hash")),
-            (BAR, ("label", "children", "leaf_count", "_key", "_hash")),
-            (forest(COROLLA2, BAR), ("trees", "degree", "_key", "_hash")),
+            (COROLLA2, ("label", "children", "leaf_count", "_key")),
+            (BAR, ("label", "children", "leaf_count", "_key")),
+            (forest(COROLLA2, BAR), ("trees", "degree", "_key")),
         ],
         ids=["tree", "leaf", "forest"],
     )
     def test_attributes_are_read_only(self, value, names):
         for name in names:
+            current = getattr(value, name)
             with pytest.raises(AttributeError):
-                setattr(value, name, getattr(value, name))
+                setattr(value, name, current)
             with pytest.raises(AttributeError):
                 delattr(value, name)
 
@@ -331,3 +332,77 @@ class TestStoredFields:
             for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
                 assert copied == value
                 assert hash(copied) == hash(value)
+
+
+class TestHashConsing:
+    """Equal values are one object: every construction path returns the
+    live object equal to its arguments."""
+
+    @pytest.mark.parametrize("alphabet_size", [1, 2])
+    def test_trees_identical_iff_same_text(self, alphabet_size):
+        # the canonical text is the structural reference, independent of identity
+        built = trees_upto(5, alphabet_size)
+        built += [parse_tree(format_tree(t)) for t in built]
+        built += [t for n in range(1, 6) for t in reference_trees(n, alphabet_size)]
+        by_text = {}
+        for t in built:
+            by_text.setdefault(format_tree(t), set()).add(id(t))
+        # one object per text, and no object under two texts
+        assert all(len(ids) == 1 for ids in by_text.values())
+        assert len({id(t) for t in built}) == len(by_text)
+
+    def test_every_construction_path_returns_the_forest(self):
+        import copy
+        import pickle
+
+        for n in range(1, 7):
+            for f in enumerate_forests(n):
+                assert Forest(f.trees) is f
+                assert Forest(tuple(PlanarTree(t.label, t.children) for t in f.trees)) is f
+                assert parse_forest(format_forest(f)) is f
+                assert pickle.loads(pickle.dumps(f)) is f
+                assert copy.deepcopy(f) is f
+
+    def test_unheld_value_is_freed(self):
+        import gc
+        import weakref
+
+        t = parse_tree("[|7,[|7,|7,|7],|7]")
+        f = Forest((t, t))
+        refs = [weakref.ref(t), weakref.ref(f)]
+        del t, f
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    def test_threads_building_the_same_trees_get_one_object(self):
+        import sys
+        import threading
+
+        workers, depth = 4, 40
+        barrier = threading.Barrier(workers, timeout=30)
+        results = [None] * workers
+
+        def build(i):
+            barrier.wait()
+            # label 9 keeps every tree new to this test
+            t = leaf(9)
+            out = [t]
+            for _ in range(depth):
+                t = graft([leaf(9), t])
+                out.append(Forest((t, leaf(9))))
+            results[i] = out
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r is not None for r in results)
+        for r in results[1:]:
+            assert all(a is b for a, b in zip(r, results[0], strict=True))
