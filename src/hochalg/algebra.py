@@ -316,18 +316,16 @@ def pbw_basis_element(f: Forest) -> Element:
 # coefficients of absolute value 1 left implicit.
 
 
-def _format_terms(pairs: list[tuple[str, Rational]]) -> str:
-    if not pairs:
-        return "0"
+def _format_terms(pairs: list[tuple[str, int | Fraction]]) -> str:
+    """Signed terms; the int or Fraction coefficients are read as numerator and denominator."""
     chunks: list[str] = []
-    for idx, (basis_text, c) in enumerate(pairs):
-        mag = abs(c)
-        body = basis_text if mag == 1 else f"{mag}*{basis_text}"
-        if idx == 0:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+    for basis_text, c in pairs:
+        num, den = c.numerator, c.denominator
+        mag = -num if num < 0 else num
+        coeff = f"{mag}/{den}*" if den != 1 else "" if mag == 1 else f"{mag}*"
+        chunks.append(("- " if num < 0 else "+ ") + coeff + basis_text)
+    text = " ".join(chunks)
+    return ("-" + text[2:] if text[0] == "-" else text[2:]) if chunks else "0"
 
 
 def format_element(x: Element) -> str:

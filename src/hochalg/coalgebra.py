@@ -30,6 +30,7 @@ added.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from numbers import Rational
@@ -271,7 +272,8 @@ def filtration_level(x: Element, engine: CoproductEngine | None = None) -> int:
 
     With D(x) = sum_b x_b (x) b over its distinct right factors b (basis
     forests, so independent), D^r(x) = sum_b D^(r-1)(x_b) (x) b: the level
-    of x is 1 + the largest level of the x_b, each of lower degree.
+    of x is 1 + the largest level of the x_b, each of lower degree.  As
+    level(c x) = level(x) for c != 0, x is scaled to integer coefficients.
     """
     engine = engine or _DEFAULT_ENGINE
 
@@ -282,7 +284,9 @@ def filtration_level(x: Element, engine: CoproductEngine | None = None) -> int:
             lefts.setdefault(b, {})[a] = c
         return 1 + max((level(frozenset(x_b.items())) for x_b in lefts.values()), default=0)
 
-    result = level(frozenset(x._terms.items())) if x._terms else 0
+    m = math.lcm(*[c.denominator for c in x._terms.values()])
+    scaled = frozenset([(f, c.numerator * (m // c.denominator)) for f, c in x._terms.items()])
+    result = level(scaled) if scaled else 0
     if result > x.max_degree():
         raise AssertionError("filtration level exceeded the degree bound")
     return result
@@ -326,20 +330,20 @@ def _resolve_op(which: str):
     raise ValueError(f"operation must be 'star'/'*' or 'succ'/'>', got {which!r}")
 
 
-def _rule_holds(x: LinComb, y: LinComb, op, cop, cross: int) -> bool:
+def _rule_holds(x: LinComb, y: LinComb, op, cop, cross: int, factor_cop=None) -> bool:
     """Exact equality of both sides of a compatibility rule,
 
         cop(x op y) = x_(1) (x) (x_(2) op y) + (x op y_(1)) (x) y_(2) + cross * x (x) y,
 
     with Sweedler components taken for the coproduct ``cop``.  The left
     side applies ``cop`` to the expanded product; the right side is
-    assembled from cop(x) and cop(y), a slot s standing for the basis
-    element with key s.  Written apart from the engine's forest rule, so
-    the two evaluations are independent.
+    assembled from cop(x) and cop(y) (or ``factor_cop``, a sweep's memo),
+    a slot s standing for the basis element with key s.  Written apart
+    from the engine's forest rule, so the two evaluations are independent.
     """
     basis = type(x)._of
-    left = cop(x).map_slot(1, lambda b: op(basis({b: _ONE}), y)._terms.items())
-    right = cop(y).map_slot(0, lambda a: op(x, basis({a: _ONE}))._terms.items())
+    left = (factor_cop or cop)(x).map_slot(1, lambda b: op(basis({b: _ONE}), y)._terms.items())
+    right = (factor_cop or cop)(y).map_slot(0, lambda a: op(x, basis({a: _ONE}))._terms.items())
     return cop(op(x, y)) == left + right + tensor_of_elements(x, y).scaled(cross)
 
 

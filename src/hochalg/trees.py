@@ -8,9 +8,10 @@ Schroeder numbers (A001003), forests by the large Schroeder numbers
 
 Trees and forests are hash-consed: a constructor returns the live object
 equal to its arguments when there is one, so equal values are one object
-and ``==`` and ``hash`` are identity.  Values are read-only, and the
-get-or-build step holds one module lock, so the module is safe for
-concurrent use.
+and ``==`` and ``hash`` are identity.  Values are read-only and keep their
+canonical text once it is first formatted.  A lookup that finds a live
+value takes no lock; only building a new value holds the one module lock,
+so the module is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from typing import Iterator, Sequence
 
 
@@ -33,18 +35,43 @@ class ParseError(ValueError):
 
 
 _LOCK = threading.Lock()
+_set = object.__setattr__
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)  # a table entry knows its key
 
 
 class _Value:
-    """Base of the hash-consed, read-only values, ordered by ``_key``."""
+    """Base of the hash-consed, read-only values, ordered by ``_key``.  Each
+    subclass's table ``_made`` maps a constructor key to an ``_Entry``, which
+    its value's death removes only while dead (as ``WeakValueDictionary``)."""
 
-    __slots__ = ("_key", "__weakref__")
+    __slots__ = ("_key", "_text", "__weakref__")  # _text: None until first formatted
 
-    def __setattr__(self, name, value):
+    def __init_subclass__(cls):
+        made = cls._made = {}
+        # the helper is bound as a default: globals may be gone when the last values die
+        cls._forget = lambda entry, remove=_remove_dead_weakref: remove(made, entry.key)
+
+    @classmethod
+    def _build(cls, key):
+        """The miss path: under the lock, look again, else build and enter the value."""
+        with _LOCK:
+            entry = cls._made.get(key)
+            self = entry and entry()
+            if self is None:
+                self = object.__new__(cls)
+                self._fill(key)
+                _set(self, "_text", None)
+                entry = cls._made[key] = _Entry(self, cls._forget)
+                entry.key = key
+        return self
+
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is read-only")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is read-only")
+    __delattr__ = __setattr__
 
     def sort_key(self):
         """Canonical comparison key (see the subclass)."""
@@ -67,7 +94,6 @@ class PlanarTree(_Value):
     """
 
     __slots__ = ("label", "children", "leaf_count")
-    _made = weakref.WeakValueDictionary()
 
     def __new__(cls, label: int = 0, children: tuple[PlanarTree, ...] = ()):
         if len(children) == 1:
@@ -76,17 +102,16 @@ class PlanarTree(_Value):
             raise ValueError("only leaves carry generator labels")
         if label < 0:
             raise ValueError("generator labels are nonnegative")
-        with _LOCK:
-            self = cls._made.get((label, children))
-            if self is None:
-                self = object.__new__(cls)
-                leaves = sum([c.leaf_count for c in children]) if children else 1
-                key = (leaves, 1, tuple([c._key for c in children])) if children else (1, 0, label)
-                names = ("label", "children", "leaf_count", "_key")
-                for name, value in zip(names, (label, children, leaves, key)):
-                    object.__setattr__(self, name, value)
-                cls._made[label, children] = self
-        return self
+        entry = cls._made.get((label, children))
+        self = entry and entry()
+        return cls._build((label, children)) if self is None else self
+
+    def _fill(self, key):
+        label, children = key
+        _set(self, "label", label)
+        _set(self, "children", children)
+        _set(self, "leaf_count", sum([c.leaf_count for c in children]) if children else 1)
+        _set(self, "_key", (self.leaf_count, 1, tuple([c._key for c in children])) if children else (1, 0, label))
 
     def __reduce__(self):
         return (PlanarTree, (self.label, self.children))
@@ -136,21 +161,18 @@ class Forest(_Value):
     first in each degree), then trees compared left to right."""
 
     __slots__ = ("trees", "degree")
-    _made = weakref.WeakValueDictionary()
 
     def __new__(cls, trees: tuple[PlanarTree, ...]):
         if not trees:
             raise ValueError("a forest holds at least one tree")
-        with _LOCK:
-            self = cls._made.get(trees)
-            if self is None:
-                self = object.__new__(cls)
-                degree = sum([t.leaf_count for t in trees])
-                key = (degree, -len(trees), tuple([t._key for t in trees]))
-                for name, value in zip(("trees", "degree", "_key"), (trees, degree, key)):
-                    object.__setattr__(self, name, value)
-                cls._made[trees] = self
-        return self
+        entry = cls._made.get(trees)
+        self = entry and entry()
+        return cls._build(trees) if self is None else self
+
+    def _fill(self, trees):
+        _set(self, "trees", trees)
+        _set(self, "degree", sum([t.leaf_count for t in trees]))
+        _set(self, "_key", (self.degree, -len(trees), tuple([t._key for t in trees])))
 
     def __reduce__(self):
         return (Forest, (self.trees,))
@@ -243,14 +265,17 @@ def enumerate_forests(n: int, alphabet_size: int = 1) -> list[Forest]:
 
 
 def format_tree(t: PlanarTree) -> str:
-    if t.is_leaf:
-        return "|" if t.label == 0 else f"|{t.label}"
-    return "[" + ",".join(format_tree(c) for c in t.children) + "]"
+    if t._text is None:
+        inner = ",".join([format_tree(c) for c in t.children])
+        _set(t, "_text", f"[{inner}]" if t.children else f"|{t.label or ''}")
+    return t._text
 
 
 def format_forest(f: Forest) -> str:
     """Canonical text: single spaces between trees, none inside brackets."""
-    return " ".join(format_tree(t) for t in f.trees)
+    if f._text is None:
+        _set(f, "_text", " ".join([format_tree(t) for t in f.trees]))
+    return f._text
 
 
 class _Cursor:

@@ -14,6 +14,7 @@ and ``_tally`` runs the identity on each and reports how many it saw.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -36,9 +37,9 @@ from .coalgebra import (
     CoproductEngine,
     TensorElement,
     UnitalElement,
+    _rule_holds,
     apply_coproduct_at,
     check_compatibility,
-    check_unital_compatibility,
     filtration_level,
     is_primitive,
     iterated_coproduct,
@@ -301,12 +302,14 @@ def suite_unital(max_degree: int, engine: CoproductEngine | None = None) -> list
     d_bar = unital_coproduct(bar, engine)
     expected = TensorElement(2, {(None, parse_forest("|")): 1, (parse_forest("|"), None): 1})
     out.append(CheckResult("unital", "d(|) = 1 (x) | + | (x) 1", d_bar == expected))
+    cop = functools.partial(unital_coproduct, engine=engine)
+    d = functools.cache(cop)  # d of each basis element once; _rule_holds applies cop to products
     out.extend(
         _tally(
             "unital",
             f"minus-sign {which} rule on {{count}} unital basis pairs, total degree <= {max_degree}",
             _basis_tuples(max_degree, 2, _unital_basis, lowest=0),
-            lambda x, y: check_unital_compatibility(x, y, which, engine),
+            lambda x, y: _rule_holds(x, y, functools.partial(unital_ops, which=which), cop, -1, d),
         )
         for which in ("star", "succ")
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hochalg.algebra import (
     Element,
+    _format_terms,
     add,
     format_element,
     generator,
@@ -317,3 +318,43 @@ class TestElementTextForm:
         with pytest.raises(ParseError):
             parse_element("|5", alphabet_size=2)
         assert parse_element("|1", alphabet_size=2) == Element.from_forest(parse_forest("|1"))
+
+
+def reference_format_terms(pairs):
+    """The term formatter as first written: abs, comparisons and str on
+    the coefficient."""
+    if not pairs:
+        return "0"
+    chunks = []
+    for idx, (basis_text, c) in enumerate(pairs):
+        mag = abs(c)
+        body = basis_text if mag == 1 else f"{mag}*{basis_text}"
+        if idx == 0:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(chunks)
+
+
+nonzero_ints = st.integers(-10**20, 10**20).filter(bool)
+coefficients = st.one_of(
+    nonzero_ints,
+    st.builds(Fraction, nonzero_ints, st.integers(1, 10**6)),
+    st.builds(lambda k: Fraction(k, 1), nonzero_ints),
+)
+basis_texts = st.sampled_from(["|", "| |", "[|,|]", "|1 [|,[|,|2]]", "1", "1 (x) [|,|] |"])
+
+
+class TestFormatTerms:
+    """_format_terms reads the numerator and denominator; the reference
+    keeps the abs/str(Fraction) formula."""
+
+    @given(st.lists(st.tuples(basis_texts, coefficients), max_size=6))
+    def test_against_reference(self, pairs):
+        assert _format_terms(pairs) == reference_format_terms(pairs)
+
+    def test_examples(self):
+        pairs = [("|", 1), ("| |", -1), ("[|,|]", Fraction(3, 1)), ("|1", Fraction(-7, 2)), ("|2", -12)]
+        assert _format_terms(pairs) == "| - | | + 3*[|,|] - 7/2*|1 - 12*|2"
+        assert _format_terms([("|", Fraction(-1))]) == "-|"
+        assert _format_terms([]) == "0"

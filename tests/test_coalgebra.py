@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -192,6 +193,42 @@ class TestFiltrationAgainstIteratedCoproducts:
         monkeypatch.setattr("hochalg.coalgebra.iterated_coproduct", refuse)
         monkeypatch.setattr(TensorElement, "_of", classmethod(at_most_two))
         assert [filtration_level(x, CoproductEngine()) for x in xs] == expected
+
+
+class TestFiltrationScaling:
+    """filtration_level scales x by the lcm of its denominators, so the
+    level of c x is that of x and the memo keys hold ints."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(forests_upto(4)), st.fractions().filter(bool)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.fractions().filter(bool),
+    )
+    def test_level_unchanged_by_scaling(self, terms, c):
+        x = Element(terms)
+        level = filtration_level(x)
+        assert filtration_level(x.scaled(c)) == level
+        m = math.lcm(*[v.denominator for v in x.terms().values()])
+        assert filtration_level(x.scaled(m)) == level
+        assert level == reference_filtration_level(x)
+
+    def test_memo_keys_hold_ints(self):
+        engine = CoproductEngine()
+        seen = []
+        coproduct = engine.coproduct
+
+        def spy(x):
+            seen.extend(type(c) for c in x._terms.values())
+            return coproduct(x)
+
+        engine.coproduct = spy
+        for x in random_sums(50, seed=7):
+            assert filtration_level(x, engine) == reference_filtration_level(x)
+        assert seen and set(seen) == {int}
 
 
 class TestPrimitiveBasis:
@@ -538,6 +575,28 @@ class TestUnital:
         assert format_unital_element(ONE) == "1"
         assert format_unital_element(parse_unital_element("2*1 + |")) == "2*1 + |"
         assert format_unital_element(UnitalElement(Fraction(0), Element.zero())) == "0"
+
+
+class TestUnitalSuite:
+    def test_basis_coproducts_computed_once_products_afresh(self, monkeypatch):
+        from hochalg import verify
+
+        calls = Counter()
+
+        def counting(x, engine=None):
+            calls[x] += 1
+            return unital_coproduct(x, engine)
+
+        monkeypatch.setattr(verify, "unital_coproduct", counting)
+        results = verify.suite_unital(4)
+        assert all(r.passed for r in results)
+        labels = [r.name for r in results if "rule on" in r.name]
+        assert labels == [
+            f"minus-sign {w} rule on 84 unital basis pairs, total degree <= 4" for w in ("star", "succ")
+        ]
+        basis = [u for n in range(5) for u in _unital_basis(n)]
+        # the two pinned values, each basis element once, each product once
+        assert sum(calls.values()) == 2 + len(basis) + 2 * 84
 
 
 def _reference_collect(pairs):

@@ -316,6 +316,16 @@ class TestStoredFields:
             with pytest.raises(AttributeError):
                 delattr(value, name)
 
+    def test_text_is_read_only(self):
+        for value in (COROLLA2, BAR, forest(COROLLA2, BAR)):
+            text = str(value)
+            assert value._text == text
+            with pytest.raises(AttributeError):
+                value._text = "[|,|,|]"
+            with pytest.raises(AttributeError):
+                del value._text
+            assert value._text == str(value) == text
+
     def test_pickle_and_deepcopy_roundtrip(self):
         import copy
         import pickle
@@ -374,6 +384,20 @@ class TestHashConsing:
         gc.collect()
         assert [r() for r in refs] == [None, None]
 
+    def test_freed_values_leave_their_tables(self):
+        import gc
+
+        gc.collect()
+        before = len(PlanarTree._made), len(Forest._made)
+        # no other test uses the labels 10**6 to 10**6 + 999
+        made = [graft([leaf(10**6 + i), leaf(10**6 + i)]) for i in range(1000)]
+        forests = [Forest((t, t)) for t in made]
+        assert len(PlanarTree._made) == before[0] + 2000
+        assert len(Forest._made) == before[1] + 1000
+        del made, forests
+        gc.collect()
+        assert (len(PlanarTree._made), len(Forest._made)) == before
+
     def test_threads_building_the_same_trees_get_one_object(self):
         import sys
         import threading
@@ -406,3 +430,96 @@ class TestHashConsing:
         assert all(r is not None for r in results)
         for r in results[1:]:
             assert all(a is b for a, b in zip(r, results[0], strict=True))
+
+    def test_late_removal_of_a_dead_entry_keeps_the_rebuilt_value(self):
+        import gc
+
+        key = (0, (leaf(19), leaf(19)))
+        t = PlanarTree(*key)
+        dead = PlanarTree._made[key]
+        del t
+        gc.collect()
+        assert dead() is None and key not in PlanarTree._made
+        t = PlanarTree(*key)
+        # the freed value's removal, run again after the rebuild, as when
+        # another thread rebuilds between a value's death and its callback
+        PlanarTree._forget(dead)
+        assert PlanarTree._made[key]() is t and PlanarTree(*key) is t
+
+    def test_value_freed_and_rebuilt_while_other_threads_look_it_up(self):
+        """One thread keeps freeing and rebuilding a value while others
+        look it up.  While a thread holds the value, every lookup must
+        return that object: a late removal of a dead entry that dropped
+        the live one would let a second, equal object be built."""
+        import sys
+        import threading
+
+        workers, rounds = 3, 10000
+        barrier = threading.Barrier(workers, timeout=30)
+        held = leaf(17)  # the children stay alive; the node itself is freed
+        errors = []
+
+        def build():
+            return PlanarTree(children=(held, held, held))
+
+        def churn():
+            barrier.wait()
+            for _ in range(rounds):
+                build()  # built and freed at once unless another thread holds it
+
+        def look_up():
+            barrier.wait()
+            for _ in range(rounds):
+                t = build()
+                if t.children != (held, held, held) or format_tree(t) != "[|17,|17,|17]":
+                    errors.append(t)
+                for _ in range(10):
+                    if build() is not t:
+                        errors.append(t)
+                del t  # may free it, in this thread
+
+        threads = [threading.Thread(target=churn)]
+        threads += [threading.Thread(target=look_up) for _ in range(workers - 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        t = build()
+        assert build() is t and PlanarTree._made[(0, t.children)]() is t
+
+
+def reference_format_tree(t):
+    """The canonical text, recomputed from the structure alone."""
+    if not t.children:
+        return "|" if t.label == 0 else f"|{t.label}"
+    return "[" + ",".join(reference_format_tree(c) for c in t.children) + "]"
+
+
+class TestTextKeptOnTheValue:
+    """format_tree/format_forest keep the text on the value; the reference
+    never reads it."""
+
+    @pytest.mark.parametrize("max_degree, alphabet_size", [(6, 1), (4, 2)])
+    def test_format_forest_against_reference(self, max_degree, alphabet_size):
+        for n in range(1, max_degree + 1):
+            for f in enumerate_forests(n, alphabet_size):
+                expected = " ".join(reference_format_tree(t) for t in f.trees)
+                # the first call may fill the text, the second reads it
+                assert format_forest(f) == expected
+                assert format_forest(f) == expected
+                assert f._text == expected
+                for t in f.trees:
+                    assert format_tree(t) == t._text == reference_format_tree(t)
+
+    def test_unformatted_value_holds_no_text(self):
+        t = graft([leaf(10**7), leaf(10**7 + 1)])
+        assert t._text is None and t.children[0]._text is None
+        assert format_tree(t) == "[|10000000,|10000001]"
+        assert t.children[0]._text == "|10000000"
