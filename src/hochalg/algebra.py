@@ -23,7 +23,8 @@ from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Seq
 from fractions import Fraction
 from numbers import Rational
 
-from .trees import Forest, PlanarTree, _Cursor, _parse_forest, _starts_tree, format_forest, leaf
+from .trees import Forest, ParseError, PlanarTree, format_forest, leaf
+from .trees import _DIGITS, _parse_forest, _skip_digits, _skip_ws
 
 _ONE = 1
 
@@ -227,12 +228,15 @@ def _concat(f: Forest, g: Forest) -> tuple[Forest]:
     return (f.concat(g),)
 
 
-def _succ_forests(f: Forest, g: Forest) -> Iterator[Forest]:
+def _succ_forests(f: Forest, g: Forest, mid: tuple[PlanarTree, ...] = ()) -> Iterator[Forest]:
+    """The forests of f succ g, or with ``mid`` the trees of a forest m the
+    forests of the bracket [f, m, g] (see nary_bracket): a nonempty suffix
+    of f, then ``mid``, then a nonempty prefix of g, under one new root."""
     ts, ss = f.trees, g.trees
     p, q = len(ts), len(ss)
     for k in range(1, q + 1):
         for i in range(p):
-            node = PlanarTree(children=ts[p - (i + 1):] + ss[:k])
+            node = PlanarTree(children=ts[p - (i + 1):] + mid + ss[:k])
             yield Forest(ts[: p - (i + 1)] + (node,) + ss[k:])
 
 
@@ -265,11 +269,19 @@ def star_all(factors: Sequence[Element]) -> Element:
 
 
 def nary_bracket(args: Sequence[Element]) -> Element:
-    """The n-ary bracket [x1, ..., xn] built from the two products.
+    """The n-ary bracket [x1, ..., xn], defined from the two products.
 
     For n >= 3:  (x1 * ... * x_{n-1}) succ xn - x1 * ((x2 * ... * x_{n-1}) succ xn).
     For n = 2:   x1 succ x2 - x1 * x2  (the inner product is empty and is
     read as the unit of the unital extension).
+
+    For n >= 3 it is computed without cancellation.  On basis forests f of
+    x1, m of x2 * ... * x_{n-1} and g of xn, the first product brackets a
+    nonempty suffix of f m with a nonempty prefix of g; the suffixes inside
+    m give exactly the forests of f * (m succ g), which the second product
+    subtracts.  So the bracket of (f, m, g) is the sum of the forests that
+    graft a nonempty suffix of f, all of m and a nonempty prefix of g under
+    one new root.
 
     Applied to primitive arguments the result is again primitive.
     """
@@ -277,12 +289,19 @@ def nary_bracket(args: Sequence[Element]) -> Element:
     if n < 2:
         raise ValueError(f"bracket needs at least 2 arguments, got {n}")
     if n == 2:
-        x1, x2 = args
-        return succ(x1, x2) - star(x1, x2)
-    head = star_all(args[:-1])
+        return succ(*args) - star(*args)
     inner = star_all(args[1:-1])
-    xn = args[-1]
-    return succ(head, xn) - star(args[0], succ(inner, xn))
+
+    def pairs() -> Iterator[tuple[Forest, Rational]]:
+        for f, a in args[0]._terms.items():
+            for m, b in inner._terms.items():
+                ab, mid = a * b, m.trees
+                for g, c in args[-1]._terms.items():
+                    abc = ab * c
+                    for h in _succ_forests(f, g, mid):
+                        yield h, abc
+
+    return Element._of(_collect(pairs()))
 
 
 @functools.cache
@@ -334,69 +353,67 @@ def format_element(x: Element) -> str:
     return _format_terms(pairs)
 
 
-def _parse_rational(cur: _Cursor) -> int | Fraction:
-    num = int(cur.digits())
-    if cur.peek() == "/":
-        cur.advance()
-        dend = cur.digits()
-        if not dend:
-            raise cur.fail("expected digits after '/'")
-        den = int(dend)
-        if den == 0:
-            raise cur.fail("zero denominator")
-        return Fraction(num, den)
-    return num
+def _parse_rational(text: str, pos: int) -> tuple[int | Fraction, int]:
+    """The rational at ``pos``, which holds a digit, and the position after it."""
+    end = _skip_digits(text, pos)
+    num = int(text[pos:end])
+    if text[end:end + 1] != "/":
+        return num, end
+    pos, end = end + 1, _skip_digits(text, end + 1)
+    if end == pos:
+        raise ParseError("expected digits after '/'", end)
+    den = int(text[pos:end])
+    if den == 0:
+        raise ParseError("zero denominator", end)
+    return Fraction(num, den), end
 
 
-def _parse_term(cur: _Cursor, alphabet_size: int | None, unital: bool):
-    """One term: (coefficient, basis) where basis is a Forest or None for
-    the unit (unital mode), or (coefficient, 'zero') for a bare 0."""
+def _parse_term(text: str, pos: int, alphabet_size: int | None, unital: bool):
+    """One term and the position after it: (coefficient, basis, position)
+    where basis is a Forest or None for the unit (unital mode), or
+    (0, 'zero', position) for a bare 0."""
     coeff = 1
-    if cur.peek().isdigit():
-        value = _parse_rational(cur)
-        mark = cur.pos
-        cur.skip_ws()
-        if cur.peek() == "*":
-            cur.advance()
-            cur.skip_ws()
+    if text[pos:pos + 1] in _DIGITS:
+        value, mark = _parse_rational(text, pos)
+        pos = _skip_ws(text, mark)
+        if text[pos:pos + 1] == "*":
+            pos = _skip_ws(text, pos + 1)
             coeff = value
+        elif value == 0:
+            return 0, "zero", mark
+        elif unital and value == 1:
+            return coeff, None, mark
         else:
-            cur.pos = mark
-            if value == 0:
-                return 0, "zero"
-            if unital and value == 1:
-                return coeff, None
-            raise cur.fail("expected '*' and a forest after a coefficient")
-    if unital and cur.peek() == "1":
-        cur.advance()
-        return coeff, None
-    if not _starts_tree(cur.peek()):
-        raise cur.fail("expected a forest" + (" or '1'" if unital else ""))
-    return coeff, _parse_forest(cur, alphabet_size)
+            raise ParseError("expected '*' and a forest after a coefficient", mark)
+    c = text[pos:pos + 1]
+    if unital and c == "1":
+        return coeff, None, pos + 1
+    if c not in ("|", "["):
+        raise ParseError("expected a forest" + (" or '1'" if unital else ""), pos)
+    f, pos = _parse_forest(text, pos, alphabet_size)
+    return coeff, f, pos
 
 
-def _parse_element_into(cur: _Cursor, alphabet_size: int | None, unital: bool):
+def _parse_terms(text: str, alphabet_size: int | None, unital: bool):
     """Shared element parser; returns the (slot, coefficient) terms, with
     the slot None for the unit (unital mode only)."""
     terms: list[tuple[Forest | None, Rational]] = []
-    cur.skip_ws()
+    pos = _skip_ws(text, 0)
     sign = 1
-    if cur.peek() in ("+", "-"):
-        if cur.advance() == "-":
-            sign = -1
-        cur.skip_ws()
+    if text[pos:pos + 1] in ("+", "-"):
+        sign = -1 if text[pos] == "-" else 1
+        pos = _skip_ws(text, pos + 1)
     while True:
-        coeff, basis = _parse_term(cur, alphabet_size, unital)
+        coeff, basis, pos = _parse_term(text, pos, alphabet_size, unital)
         if basis != "zero":
             terms.append((basis, coeff if sign > 0 else -coeff))
-        cur.skip_ws()
-        if cur.at_end():
+        pos = _skip_ws(text, pos)
+        if pos >= len(text):
             return terms
-        op = cur.peek()
+        op = text[pos]
         if op not in ("+", "-"):
-            raise cur.fail(f"expected '+' or '-', got {op!r}")
-        cur.advance()
-        cur.skip_ws()
+            raise ParseError(f"expected '+' or '-', got {op!r}", pos)
+        pos = _skip_ws(text, pos + 1)
         sign = 1 if op == "+" else -1
 
 
@@ -405,4 +422,4 @@ def parse_element(text: str, alphabet_size: int | None = None) -> Element:
 
     parse_element(format_element(x)) == x for every element x.
     """
-    return Element(_parse_element_into(_Cursor(text), alphabet_size, unital=False))
+    return Element(_parse_terms(text, alphabet_size, unital=False))

@@ -43,12 +43,11 @@ from .algebra import (
     _bilinear,
     _collect,
     _concat,
-    _Cursor,
     _exact,
     _format_terms,
     _items,
     _linear,
-    _parse_element_into,
+    _parse_terms,
     _succ_forests,
     star,
     succ,
@@ -459,5 +458,5 @@ def format_unital_element(x: UnitalElement) -> str:
 
 def parse_unital_element(text: str, alphabet_size: int | None = None) -> UnitalElement:
     """Parse the element grammar extended with '1' as the unit factor."""
-    terms = _parse_element_into(_Cursor(text), alphabet_size, unital=True)
+    terms = _parse_terms(text, alphabet_size, unital=True)
     return UnitalElement._of(_collect((s, c) for s, c in terms if c))

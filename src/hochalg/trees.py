@@ -260,8 +260,9 @@ def enumerate_forests(n: int, alphabet_size: int = 1) -> list[Forest]:
 #   tree   := '|' | '|' digits | '[' tree (',' tree)+ ']'
 #   forest := tree (WS tree)*
 #
-# Whitespace is free inside brackets; at the top level one or more spaces
-# separate the trees of a forest.  '|' with no digits means generator 0.
+# Spaces and tabs are free inside brackets; at the top level one or more
+# of them separate the trees of a forest.  Digits are ASCII 0-9, and '|'
+# with no digits means generator 0.
 
 
 def format_tree(t: PlanarTree) -> str:
@@ -278,87 +279,78 @@ def format_forest(f: Forest) -> str:
     return f._text
 
 
-class _Cursor:
-    """Scanner over the expression grammars, tracking the error position."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
-
-    def digits(self) -> str:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def skip_ws(self) -> int:
-        start = self.pos
-        while self.peek() in (" ", "\t"):
-            self.pos += 1
-        return self.pos - start
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise ParseError(f"expected {char!r}", self.pos)
-        self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def fail(self, message: str) -> "ParseError":
-        return ParseError(message, self.pos)
+_WS = (" ", "\t")
+_DIGITS = frozenset("0123456789")
 
 
-def _parse_tree(cur: _Cursor, alphabet_size: int | None) -> PlanarTree:
-    c = cur.peek()
-    if c == "|":
-        cur.advance()
-        label = int(cur.digits() or 0)
-        if alphabet_size is not None and label >= alphabet_size:
-            raise cur.fail(f"unknown generator label {label} (alphabet size {alphabet_size})")
-        return leaf(label)
-    if c == "[":
-        cur.advance()
-        children = []
-        cur.skip_ws()
-        children.append(_parse_tree(cur, alphabet_size))
-        cur.skip_ws()
-        if cur.peek() != ",":
-            raise cur.fail("bracket nodes need at least 2 comma-separated children")
-        while cur.peek() == ",":
-            cur.advance()
-            cur.skip_ws()
-            children.append(_parse_tree(cur, alphabet_size))
-            cur.skip_ws()
-        cur.expect("]")
-        return graft(children)
-    raise cur.fail("expected a tree ('|' or '[')")
+def _skip_ws(text: str, pos: int) -> int:
+    """The position after the spaces and tabs at ``pos``."""
+    while text[pos:pos + 1] in _WS:
+        pos += 1
+    return pos
 
 
-def _starts_tree(c: str) -> bool:
-    return c in ("|", "[")
+def _skip_digits(text: str, pos: int) -> int:
+    """The position after the digits (ASCII 0-9 only) at ``pos``."""
+    while text[pos:pos + 1] in _DIGITS:
+        pos += 1
+    return pos
 
 
-def _parse_forest(cur: _Cursor, alphabet_size: int | None) -> Forest:
-    trees = [_parse_tree(cur, alphabet_size)]
+def _parse_tree(text: str, pos: int, alphabet_size: int | None) -> tuple[PlanarTree, int]:
+    """The tree at ``pos`` and the position after it.  The open brackets are
+    an explicit stack of children lists, so nesting costs no recursion."""
+    open_nodes: list[list[PlanarTree]] = []
     while True:
-        mark = cur.pos
-        ws = cur.skip_ws()
-        if _starts_tree(cur.peek()):
-            if ws == 0:
-                raise cur.fail("expected whitespace between trees of a forest")
-            trees.append(_parse_tree(cur, alphabet_size))
+        pos = _skip_ws(text, pos)  # free before a child (callers start on the tree)
+        c = text[pos:pos + 1]
+        if c == "[":
+            open_nodes.append([])
+            pos += 1
+            continue
+        if c != "|":
+            raise ParseError("expected a tree ('|' or '[')", pos)
+        start, pos = pos + 1, _skip_digits(text, pos + 1)
+        label = int(text[start:pos]) if pos > start else 0
+        if alphabet_size is not None and label >= alphabet_size:
+            raise ParseError(f"unknown generator label {label} (alphabet size {alphabet_size})", pos)
+        node = PlanarTree(label)
+        while open_nodes:  # close the brackets that this tree ends
+            children = open_nodes[-1]
+            children.append(node)
+            pos = _skip_ws(text, pos)
+            c = text[pos:pos + 1]
+            if c == ",":
+                pos += 1
+                break
+            if len(children) == 1:
+                raise ParseError("bracket nodes need at least 2 comma-separated children", pos)
+            if c != "]":
+                raise ParseError("expected ']'", pos)
+            pos += 1
+            node = PlanarTree(children=tuple(open_nodes.pop()))
         else:
-            cur.pos = mark
-            return Forest(tuple(trees))
+            return node, pos
+
+
+def _parse_forest(text: str, pos: int, alphabet_size: int | None) -> tuple[Forest, int]:
+    """The forest at ``pos`` and the position after its last tree."""
+    tree, pos = _parse_tree(text, pos, alphabet_size)
+    trees = [tree]
+    while True:
+        start = _skip_ws(text, pos)
+        if text[start:start + 1] not in ("|", "["):
+            return Forest(tuple(trees)), pos
+        if start == pos:
+            raise ParseError("expected whitespace between trees of a forest", pos)
+        tree, pos = _parse_tree(text, start, alphabet_size)
+        trees.append(tree)
+
+
+def _expect_end(text: str, pos: int, what: str) -> None:
+    pos = _skip_ws(text, pos)
+    if pos < len(text):
+        raise ParseError(f"unexpected {text[pos]!r} after {what}", pos)
 
 
 def parse_forest(text: str, alphabet_size: int | None = None) -> Forest:
@@ -367,21 +359,13 @@ def parse_forest(text: str, alphabet_size: int | None = None) -> Forest:
     When ``alphabet_size`` is given, generator labels outside the alphabet
     are rejected.  Raises ParseError with the failing position otherwise.
     """
-    cur = _Cursor(text)
-    cur.skip_ws()
-    f = _parse_forest(cur, alphabet_size)
-    cur.skip_ws()
-    if not cur.at_end():
-        raise cur.fail(f"unexpected {cur.peek()!r} after forest")
+    f, pos = _parse_forest(text, _skip_ws(text, 0), alphabet_size)
+    _expect_end(text, pos, "forest")
     return f
 
 
 def parse_tree(text: str, alphabet_size: int | None = None) -> PlanarTree:
     """Parse a single tree; rejects trailing input."""
-    cur = _Cursor(text)
-    cur.skip_ws()
-    t = _parse_tree(cur, alphabet_size)
-    cur.skip_ws()
-    if not cur.at_end():
-        raise cur.fail(f"unexpected {cur.peek()!r} after tree")
+    t, pos = _parse_tree(text, _skip_ws(text, 0), alphabet_size)
+    _expect_end(text, pos, "tree")
     return t

@@ -7,8 +7,11 @@ from hochalg.algebra import parse_element
 from hochalg.cli import run
 
 
-# a tree 1,200 levels deep: deeper than the recursion limit lets the parser go
+# a tree 1,200 levels deep: it parses, but formatting, the coproduct and the
+# filtration level recurse per level and refuse it
 DEEP = "[|," * 1200 + "|" + "]" * 1200
+# the same comb 20,000 levels deep
+COMB = "[|," * 20_000 + "|" + "]" * 20_000
 
 
 def out_lines(capsys):
@@ -224,8 +227,15 @@ class TestContract:
             ["coproduct", DEEP],
             ["coproduct", "--unital", "1 + " + DEEP],
             ["bracket", DEEP, "|"],
+            ["op", "star", COMB, "|"],
+            ["coproduct", COMB],
+            ["bracket", COMB, "|"],
+            ["filtration", COMB],
         ],
-        ids=["filtration", "op-left", "op-right", "coproduct", "coproduct-unital", "bracket"],
+        ids=[
+            "filtration", "op-left", "op-right", "coproduct", "coproduct-unital", "bracket",
+            "comb-op", "comb-coproduct", "comb-bracket", "comb-filtration",
+        ],
     )
     def test_deeply_nested_input_exits_two(self, capsys, argv):
         assert run(argv) == 2

@@ -37,6 +37,7 @@ CASES: dict[str, list[str]] = {
     "coproduct_unital_unit": ["coproduct", "--unital", "2*1"],
     "coproduct_unital_zero": ["coproduct", "--unital", "0"],
     "bracket_ternary": ["bracket", "| - 1/2*[|,|]", "| |", "2*|"],
+    "bracket_quaternary": ["bracket", "2/3*| [|,|] - [|,|]", "| + 1/2*|1", "3*| |", "|1 | - 5/4*[|,|1]"],
     "primitive_basis_5": ["primitive-basis", "--degree", "5"],
     "primitive_basis_3_alphabet_2": ["primitive-basis", "--degree", "3", "--alphabet", "2"],
     "dims_8": ["dims", "--max-degree", "8"],
@@ -49,6 +50,8 @@ CASES: dict[str, list[str]] = {
     "filtration_zero": ["filtration", "0"],
     "parse_error_unary_node": ["op", "star", "[|]", "|"],
     "parse_error_coefficient": ["coproduct", "3 |"],
+    "parse_error_non_ascii_digit": ["filtration", "|²"],
+    "parse_error_non_ascii_label": ["op", "star", "|٣", "|", "--alphabet", "5"],
 }
 
 

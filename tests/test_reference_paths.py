@@ -1,0 +1,341 @@
+"""Differential tests of two fast paths against test-local copies of the
+reference code they replaced.
+
+* ``nary_bracket`` computes brackets of three or more arguments by the
+  cancellation-free basis formula; the reference is the defining formula
+  from the two products.
+* The text grammars are parsed in one pass over ``(text, pos)`` with an
+  explicit stack of open brackets; the reference is the recursive
+  character scanner that parsed them before.  Both must give the same
+  value, or the same ``ParseError`` message and position.  The one
+  intended difference is pinned last: a digit outside ASCII 0-9 is a
+  parse error at its position.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hochalg import algebra, verify
+from hochalg.algebra import Element, nary_bracket, parse_element, star, star_all, succ
+from hochalg.coalgebra import UnitalElement, parse_unital_element
+from hochalg.trees import (
+    Forest,
+    ParseError,
+    PlanarTree,
+    enumerate_forests,
+    graft,
+    leaf,
+    parse_forest,
+    parse_tree,
+)
+
+# --- the bracket ------------------------------------------------------------
+
+
+def bracket_by_products(args):
+    """The n-ary bracket by its definition from the two products."""
+    if len(args) == 2:
+        return succ(args[0], args[1]) - star(args[0], args[1])
+    xn = args[-1]
+    return succ(star_all(args[:-1]), xn) - star(args[0], succ(star_all(args[1:-1]), xn))
+
+
+@pytest.mark.parametrize("alphabet, total", [(1, 6), (2, 4)])
+def test_bracket_matches_products_on_basis_tuples(alphabet, total):
+    def basis(d):
+        return [Element.from_forest(f) for f in enumerate_forests(d, alphabet)]
+
+    count = 0
+    for arity in (2, 3, 4):
+        for args in verify._basis_tuples(total, arity, basis):
+            assert nary_bracket(list(args)) == bracket_by_products(list(args)), args
+            count += 1
+    assert count == {1: 633, 2: 412}[alphabet]
+
+
+FORESTS = [f for d in (1, 2) for f in enumerate_forests(d, 2)] + enumerate_forests(3)
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool)
+elements = st.builds(Element, st.lists(st.tuples(st.sampled_from(FORESTS), fractions), min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(elements, min_size=2, max_size=5))
+def test_bracket_matches_products_on_rational_elements(args):
+    assert nary_bracket(args) == bracket_by_products(args)
+
+
+def _drop_full_prefix(f, g, mid=()):
+    """The bracket's basis formula off by one: with a middle word, the
+    prefix of g never reaches its last tree."""
+    ts, ss = f.trees, g.trees
+    p, q = len(ts), len(ss)
+    for k in range(1, q + (not mid)):
+        for i in range(p):
+            node = PlanarTree(children=ts[p - (i + 1):] + mid + ss[:k])
+            yield Forest(ts[: p - (i + 1)] + (node,) + ss[k:])
+
+
+@pytest.fixture
+def fresh_primitives():
+    algebra.tree_to_primitive.cache_clear()
+    yield
+    algebra.tree_to_primitive.cache_clear()
+
+
+def test_negative_control_bracket_off_by_one(monkeypatch, fresh_primitives):
+    monkeypatch.setattr(algebra, "_succ_forests", _drop_full_prefix)
+    brackets = {r.name.split(" ")[0]: r.passed for r in verify.suite_brackets(4)}
+    assert brackets["3-ary"] is False
+    pbw = [r.passed for r in verify.suite_pbw(4)]
+    assert pbw == [True, True, False, False]
+    # succ itself (no middle word) is untouched by the patch
+    assert verify.suite_products(4)[0].passed
+
+
+# --- the parser --------------------------------------------------------------
+
+
+class _Cursor:
+    """Reference scanner: one character at a time, recursing per level."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def advance(self):
+        c = self.peek()
+        self.pos += 1
+        return c
+
+    def digits(self):
+        start = self.pos
+        while self.peek().isdigit():
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def skip_ws(self):
+        start = self.pos
+        while self.peek() in (" ", "\t"):
+            self.pos += 1
+        return self.pos - start
+
+    def expect(self, char):
+        if self.peek() != char:
+            raise ParseError(f"expected {char!r}", self.pos)
+        self.pos += 1
+
+    def at_end(self):
+        return self.pos >= len(self.text)
+
+    def fail(self, message):
+        return ParseError(message, self.pos)
+
+
+def _ref_tree(cur, alphabet_size):
+    c = cur.peek()
+    if c == "|":
+        cur.advance()
+        label = int(cur.digits() or 0)
+        if alphabet_size is not None and label >= alphabet_size:
+            raise cur.fail(f"unknown generator label {label} (alphabet size {alphabet_size})")
+        return leaf(label)
+    if c == "[":
+        cur.advance()
+        children = []
+        cur.skip_ws()
+        children.append(_ref_tree(cur, alphabet_size))
+        cur.skip_ws()
+        if cur.peek() != ",":
+            raise cur.fail("bracket nodes need at least 2 comma-separated children")
+        while cur.peek() == ",":
+            cur.advance()
+            cur.skip_ws()
+            children.append(_ref_tree(cur, alphabet_size))
+            cur.skip_ws()
+        cur.expect("]")
+        return graft(children)
+    raise cur.fail("expected a tree ('|' or '[')")
+
+
+def _ref_forest(cur, alphabet_size):
+    trees = [_ref_tree(cur, alphabet_size)]
+    while True:
+        mark = cur.pos
+        ws = cur.skip_ws()
+        if cur.peek() in ("|", "["):
+            if ws == 0:
+                raise cur.fail("expected whitespace between trees of a forest")
+            trees.append(_ref_tree(cur, alphabet_size))
+        else:
+            cur.pos = mark
+            return Forest(tuple(trees))
+
+
+def _ref_whole(parse, what):
+    def parse_whole(text, alphabet_size=None):
+        cur = _Cursor(text)
+        cur.skip_ws()
+        value = parse(cur, alphabet_size)
+        cur.skip_ws()
+        if not cur.at_end():
+            raise cur.fail(f"unexpected {cur.peek()!r} after {what}")
+        return value
+
+    return parse_whole
+
+
+def _ref_rational(cur):
+    num = int(cur.digits())
+    if cur.peek() == "/":
+        cur.advance()
+        dend = cur.digits()
+        if not dend:
+            raise cur.fail("expected digits after '/'")
+        den = int(dend)
+        if den == 0:
+            raise cur.fail("zero denominator")
+        return Fraction(num, den)
+    return num
+
+
+def _ref_term(cur, alphabet_size, unital):
+    coeff = 1
+    if cur.peek().isdigit():
+        value = _ref_rational(cur)
+        mark = cur.pos
+        cur.skip_ws()
+        if cur.peek() == "*":
+            cur.advance()
+            cur.skip_ws()
+            coeff = value
+        else:
+            cur.pos = mark
+            if value == 0:
+                return 0, "zero"
+            if unital and value == 1:
+                return coeff, None
+            raise cur.fail("expected '*' and a forest after a coefficient")
+    if unital and cur.peek() == "1":
+        cur.advance()
+        return coeff, None
+    if cur.peek() not in ("|", "["):
+        raise cur.fail("expected a forest" + (" or '1'" if unital else ""))
+    return coeff, _ref_forest(cur, alphabet_size)
+
+
+def _ref_terms(text, alphabet_size, unital):
+    cur = _Cursor(text)
+    terms = []
+    cur.skip_ws()
+    sign = 1
+    if cur.peek() in ("+", "-"):
+        if cur.advance() == "-":
+            sign = -1
+        cur.skip_ws()
+    while True:
+        coeff, basis = _ref_term(cur, alphabet_size, unital)
+        if basis != "zero":
+            terms.append((basis, coeff if sign > 0 else -coeff))
+        cur.skip_ws()
+        if cur.at_end():
+            return terms
+        op = cur.peek()
+        if op not in ("+", "-"):
+            raise cur.fail(f"expected '+' or '-', got {op!r}")
+        cur.advance()
+        cur.skip_ws()
+        sign = 1 if op == "+" else -1
+
+
+def _ref_element(text, alphabet_size=None):
+    return Element(_ref_terms(text, alphabet_size, unital=False))
+
+
+def _ref_unital(text, alphabet_size=None):
+    terms = _ref_terms(text, alphabet_size, unital=True)
+    return UnitalElement._of(algebra._collect((s, c) for s, c in terms if c))
+
+
+PARSERS = [
+    (parse_tree, _ref_whole(_ref_tree, "tree")),
+    (parse_forest, _ref_whole(_ref_forest, "forest")),
+    (parse_element, _ref_element),
+    (parse_unital_element, _ref_unital),
+]
+
+
+def outcome(parse, text, alphabet_size):
+    """The parsed value, or the error's type, message and position."""
+    try:
+        return ("value", parse(text, alphabet_size))
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.position)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_parsers_agree(text, alphabet_size):
+    for parse, reference in PARSERS:
+        got, want = outcome(parse, text, alphabet_size), outcome(reference, text, alphabet_size)
+        assert got == want, (parse.__name__, text, alphabet_size)
+
+
+ALPHABET = "|[],+-*/0123456789 \t"
+TOKENS = [
+    "|", "|1", "|2", "|10", "[", "]", ",", " ", "\t", "+", "-", "*", "/", "0", "1", "2",
+    "3/2", "0/4", "1/0", "12", "2*", " + ", " - ", "[|,|]", "| |", "[|, |]", "[ |,|1 ]",
+]
+
+
+def _edit(text, edits):
+    """text after inserting, deleting or replacing one character per edit."""
+    for where, kind, char in edits:
+        i = where % (len(text) + 1)
+        text = text[:i] + ("" if kind == "delete" else char) + text[i + (kind != "insert"):]
+    return text
+
+
+texts = st.one_of(
+    st.text(alphabet=ALPHABET, max_size=24),
+    st.lists(st.sampled_from(TOKENS), max_size=12).map("".join),
+    st.builds(
+        _edit,
+        elements.map(str),
+        st.lists(
+            st.tuples(st.integers(0, 60), st.sampled_from(["insert", "delete", "replace"]), st.sampled_from(ALPHABET)),
+            max_size=3,
+        ),
+    ),
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(texts, st.sampled_from([None, 1, 2, 3]))
+def test_parsers_match_reference(text, alphabet_size):
+    assert_parsers_agree(text, alphabet_size)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", " ", "|", " | ", "||", "| |1", "[|]", "[|,]", "[|,|", "[|,|]]", "[|,|]x", "[ |\t, [|,|2] ]",
+     "3", "0", "1", "2*1", "0/0", "1/", "3/2 |", "3/2*", "- 2*| + 1/3*[|,|] |", "+ 0 - 0*|", "|3", "| | -"],
+)
+def test_parsers_match_reference_on_examples(text):
+    for alphabet_size in (None, 1, 2, 3):
+        assert_parsers_agree(text, alphabet_size)
+
+
+# --- digits are ASCII ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["|٣", "|²", "[|٣,|]", "٣*|", "|1١"])
+@pytest.mark.parametrize("parse", [parse_tree, parse_forest, parse_element, parse_unital_element])
+def test_non_ascii_digits_are_rejected(text, parse):
+    with pytest.raises(ParseError) as err:
+        parse(text, 5)
+    assert err.value.position == text.index(next(c for c in text if not c.isascii()))

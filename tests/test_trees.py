@@ -243,6 +243,12 @@ class TestTextForm:
             parse_tree("| |")
         assert parse_tree(" [|,|] ") == COROLLA2
 
+    def test_deep_comb_parses_without_recursion(self):
+        depth = 20_000
+        comb = "[|," * depth + "|" + "]" * depth
+        assert parse_tree(comb).leaf_count == depth + 1
+        assert parse_forest(comb + " |").degree == depth + 2
+
 
 # Reference formulas for the fields a tree or forest stores at construction,
 # recomputed recursively from the structure alone.
