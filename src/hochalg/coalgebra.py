@@ -1,37 +1,60 @@
 """The infinitesimal coproduct on the span of forests.
 
-The coproduct is defined by a well-founded recursion: generators (single
-leaves) are sent to zero, and products are unfolded through the two
-compatibility rules
+The coproduct D kills the generators (single leaves) and satisfies the
+compatibility rules (Aguiar, Contemp. Math. 267, 2000; Sweedler sums)
 
     D(x * y) = x_(1) (x) (x_(2) * y) + (x * y_(1)) (x) y_(2) + x (x) y
-    D(x succ y) = x_(1) (x) (x_(2) succ y) + (x succ y_(1)) (x) y_(2) + x (x) y
+    D(x succ y) = x_(1) (x) (x_(2) succ y) + (x succ y_(1)) (x) y_(2) + x (x) y.
 
-(Sweedler sums implied).  The recursion runs on basis forests, one rule
-per forest.  A forest of several trees is first tree * rest.  A node
-t = [c1, ..., cm], m >= 2, is one of the forests of
+It is computed by the cut rule, with no subtraction.  The cuts of a tree
+are pairs (a, b) of trees: a leaf has none, and t = [c1, ..., cm] has
+(a, [b, c2, ..., cm]) for each cut (a, b) of c1, then (c1, c2) if m = 2,
+then ([c1, ..., c_{m-1}, a], b) for each cut (a, b) of cm.  D of a forest
+t1 ... tr is the sum of its cuts u (x) v, each with coefficient 1: the
+deconcatenations t1 ... ti (x) t_{i+1} ... tr, i < r, and for each cut
+(a, b) of each ti, t1 ... t_{i-1} a (x) b t_{i+1} ... tr.  The three
+clauses give left factors of degree < |c1|, = |c1| and > |c1 ... c_{m-1}|,
+and a cut of ti lies strictly between the deconcatenations around ti, so
+no two cuts have left factors of one degree: the terms are distinct.
 
-    (c1 ... c_{m-1}) succ cm  =  t  +  sum_j  c1 ... cj [c_{j+1}, ..., cm],
+Proof that the cut rule is D.  (1) The rules determine D, degree by
+degree: a forest of several trees is t1 * (t2 ... tr), under the star
+rule, and a tree [c1, ..., cm] is (c1 ... c_{m-1}) succ cm minus forests
+of its degree with several trees, under the succ and star rules.  The cut
+rule kills leaves, so it is D once it satisfies both rules on all basis
+forests f = t1 ... tp and g = s1 ... sq.  Both sides are sums of cuts
+with coefficient 1, so it suffices to match them one for one.
+(2) Star rule.  A cut of fg is a cut u (x) v of f, read u (x) v g; the
+deconcatenation f (x) g; or a cut u (x) v of g, read f u (x) v: the three
+sums of the rule.
+(3) Succ rule.  f succ g is the sum over 0 <= i < p and 1 <= k <= q of
+h = t1 ... t_{p-i-1} T s_{k+1} ... sq, T = [t_{p-i}, ..., tp, s1, ..., sk].
+The cuts of h left of T (after tj, j < p - i, or inside such a tj) are
+the cuts of f whose f_(2) ends in t_{p-i} ... tp, with that suffix
+bracketed in f_(2) succ g.  A cut of T from its first-child clause, for a
+cut (a, b) of t_{p-i}, is f's cut (a, b), with all of
+f_(2) = b t_{p-i+1} ... tp bracketed.  The binary clause fires only for
+T = [tp, s1] and gives f (x) g.  The last-child clause and the cuts right
+of T mirror these as the terms (f succ g_(1)) (x) g_(2).  Conversely, a
+cut of f with a nonempty suffix of its f_(2) bracketed is a cut left of T
+when the suffix is whole trees of f, and a first-child cut of T when it
+starts at the b of a cut (a, b) of a tree; mirrored for g.
+(4) With the cross term of both rules scaled by s (the negative controls'
+s = 0 or -1), s * D satisfies them, and by (1) nothing else does.  The
+``compat`` suite checks both rules on all basis pairs up to its degree.
 
-so D(t) is the succ rule on c1 ... c_{m-1} and cm minus D of the other
-forests, j = 1, ..., m-2.  Those have t's degree but at least two trees,
-so they go down the star rule; each rule strictly decreases the leaf
-count (both asserted below).
-
-Primitives are the kernel of the coproduct; their dimension in each
-degree is a little Schroeder number, the computational witness that
-forests are cofree over the span of trees.  The unital extension adjoins
-a unit 1 with 1 * x = x = x * 1 and 1 succ x = x = x succ 1 and the
-coproduct d(x) = 1 (x) x + x (x) 1 + D(x), which satisfies the same
-compatibility rules with the cross term x (x) y subtracted instead of
-added.
+Primitives are the kernel of D; their dimension in each degree is a
+little Schroeder number, the witness that forests are cofree over the
+span of trees.  The unital extension adjoins 1, a two-sided unit of both
+products, with d(x) = 1 (x) x + x (x) 1 + D(x), which satisfies the same
+rules with the cross term subtracted instead of added.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from numbers import Rational
 
@@ -52,7 +75,7 @@ from .algebra import (
     star,
     succ,
 )
-from .trees import Forest, enumerate_forests, format_forest
+from .trees import Forest, PlanarTree, enumerate_forests, format_forest
 
 # A tensor slot is a basis forest, or None for the unit 1 of the unital
 # extension (nonunital operations never produce None slots).
@@ -152,68 +175,45 @@ def tensor_of_elements(*factors: LinComb) -> TensorElement:
     return TensorElement._of(terms, len(factors))
 
 
+@functools.cache
+def _cuts(t: PlanarTree) -> tuple[tuple[PlanarTree, PlanarTree], ...]:
+    """The cuts (a, b) of a tree, pairs of trees (module docstring)."""
+    if t.is_leaf:
+        return ()
+    cs = t.children
+    first = [(a, PlanarTree(children=(b,) + cs[1:])) for a, b in _cuts(cs[0])]
+    last = [(PlanarTree(children=cs[:-1] + (a,)), b) for a, b in _cuts(cs[-1])]
+    binary = [(cs[0], cs[1])] if len(cs) == 2 else []
+    return tuple(first + binary + last)
+
+
+@functools.cache
+def _cut_coproduct(f: Forest) -> TensorElement:
+    """D(f) by the cut rule: its deconcatenations and its trees' cuts."""
+    ts = f.trees
+    cuts = [(ts[:i], ts[i:]) for i in range(1, len(ts))]
+    cuts += [(ts[:i] + (a,), (b,) + ts[i + 1:]) for i, t in enumerate(ts) for a, b in _cuts(t)]
+    return TensorElement._of({(Forest(u), Forest(v)): _ONE for u, v in cuts}, 2)
+
+
 class CoproductEngine:
-    """Evaluates the coproduct recursion on basis forests.
-
-    A forest f other than a leaf is one of the forests of x op y (first
-    tree * rest, or a node's children split before the last by succ), so
-    D(f) is one rule, ``_rule``'s D(x op y), minus D(h) for the other
-    forests h of x op y.  Results are memoized per forest.
-
-    ``cross_sign`` is the coefficient of the x (x) y cross term in both
-    compatibility rules: +1 is the real coproduct; -1 and 0 are
-    deliberately broken variants kept for negative-control verification.
-    -1 gives exactly the negated coproduct, which the compatibility and
-    deconcatenation checks detect.  0 drops the cross term, the only
-    nonzero seed of the recursion, so the coproduct is identically zero;
-    every forest is then primitive and the primitive-dimension witness
-    detects it.
+    """The coproduct D scaled by ``cross_sign``, the coefficient of the
+    x (x) y cross term in both compatibility rules (module docstring, 4).
+    +1 is the real coproduct; -1 and 0 are deliberately broken variants
+    for negative-control verification.  -D is caught by the compatibility
+    and deconcatenation checks, and 0, under which every forest is
+    primitive, by the primitive-dimension witness.
     """
 
     def __init__(self, cross_sign: int = 1):
         if cross_sign not in (1, 0, -1):
             raise ValueError("cross_sign must be +1, 0 or -1")
         self.cross_sign = cross_sign
-        self._memo: dict[Forest, TensorElement] = {}
-
-    def _rule(self, f: Forest, g: Forest, basis_op) -> Iterator[tuple[tuple[Slot, Slot], Rational]]:
-        """The terms of D(f op g), where ``basis_op`` gives the forests of
-        f op g: f_(1) (x) (f_(2) op g) + (f op g_(1)) (x) g_(2) plus the
-        cross term cross_sign * f (x) g."""
-        for (a, b), c in self.coproduct_basis(f)._terms.items():
-            for h in basis_op(b, g):
-                yield (a, h), c
-        for (a, b), c in self.coproduct_basis(g)._terms.items():
-            for h in basis_op(f, a):
-                yield (h, b), c
-        if self.cross_sign:
-            yield (f, g), self.cross_sign
 
     def coproduct_basis(self, f: Forest) -> TensorElement:
         """The coproduct of a basis forest (arity-2 tensor)."""
-        cached = self._memo.get(f)
-        if cached is not None:
-            return cached
-        ts = f.trees
-        if len(ts) > 1:  # first tree * rest
-            x, y, op = Forest(ts[:1]), Forest(ts[1:]), _concat
-        elif ts[0].is_leaf:  # generators are primitive
-            result = self._memo[f] = TensorElement.zero(2)
-            return result
-        else:  # [c1, ..., cm] is a forest of (c1 ... c_{m-1}) succ cm
-            cs = ts[0].children
-            x, y, op = Forest(cs[:-1]), Forest(cs[-1:]), _succ_forests
-        # Termination: the rule goes down in degree, and every other forest
-        # of x op y has f's degree but at least two trees, so it goes down
-        # the star rule.
-        assert x.degree < f.degree and y.degree < f.degree
-        terms = _collect(self._rule(x, y, op))
-        for h in op(x, y):
-            if h != f:
-                assert len(h) > 1
-                _collect(((key, -c) for key, c in self.coproduct_basis(h)._terms.items()), terms)
-        result = self._memo[f] = TensorElement._of(terms, 2)
-        return result
+        d = _cut_coproduct(f)
+        return d if self.cross_sign == 1 else d.scaled(self.cross_sign)
 
     def coproduct(self, x: Element) -> TensorElement:
         """Linear extension of coproduct_basis."""
@@ -338,7 +338,7 @@ def _rule_holds(x: LinComb, y: LinComb, op, cop, cross: int, factor_cop=None) ->
     side applies ``cop`` to the expanded product; the right side is
     assembled from cop(x) and cop(y) (or ``factor_cop``, a sweep's memo),
     a slot s standing for the basis element with key s.  Written apart
-    from the engine's forest rule, so the two evaluations are independent.
+    from the cut rule, so the two evaluations are independent.
     """
     basis = type(x)._of
     left = (factor_cop or cop)(x).map_slot(1, lambda b: op(basis({b: _ONE}), y)._terms.items())

@@ -3,9 +3,8 @@
 Every suite returns a list of CheckResult and never raises on a FAIL; the
 CLI turns the results into a PASS/FAIL table and an exit code.  Suites
 accept an optional CoproductEngine so the negative-control tests can run
-them against a deliberately broken coproduct; without one, every
-coproduct falls back to the shared default engine of ``coalgebra``, so
-one verify run fills one memo.
+them against a deliberately broken coproduct; without one, every suite
+reads the real coproduct from the cut rule's cache in ``coalgebra``.
 
 Every exhaustive sweep has the same shape: ``_basis_tuples`` enumerates
 the tuples of basis elements of bounded total degree, degree by degree,
@@ -203,8 +202,8 @@ def suite_coassoc(max_degree: int, engine: CoproductEngine | None = None) -> lis
 
 
 def suite_compat(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
-    """Both compatibility rules, recursion versus formula, on all basis
-    pairs of bounded total degree."""
+    """Both compatibility rules, the cut rule versus the products, on all
+    basis pairs of bounded total degree."""
     return [
         _tally(
             "compat",

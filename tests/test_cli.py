@@ -81,6 +81,13 @@ class TestCoproduct:
         assert run(["coproduct", "--from-file", str(path)]) == 0
         assert out_lines(capsys) == ["0", "| (x) |", "0"]
 
+    def test_deep_comb(self, capsys):
+        # one cut in each of the 400 gaps between leaves, each coefficient 1
+        assert run(["coproduct", "[|," * 400 + "|" + "]" * 400]) == 0
+        (line,) = out_lines(capsys)
+        terms = line.split(" + ")
+        assert len(terms) == 400 and all(t.count(" (x) ") == 1 and "*" not in t for t in terms)
+
     def test_expr_and_file_conflict(self, tmp_path, capsys):
         path = tmp_path / "exprs.txt"
         path.write_text("|\n")

@@ -392,7 +392,7 @@ class _ElementRecursion:
 
 class TestEngine:
     def test_concurrent_sweep_matches_sequential(self):
-        # the memo table behaves as a cache of a pure function
+        # the coproduct caches behave as caches of a pure function
         import concurrent.futures
 
         shared = CoproductEngine()

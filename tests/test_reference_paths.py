@@ -4,6 +4,10 @@ reference code they replaced.
 * ``nary_bracket`` computes brackets of three or more arguments by the
   cancellation-free basis formula; the reference is the defining formula
   from the two products.
+* ``CoproductEngine`` computes the coproduct by the cut rule, a closed
+  formula; the reference is the forest recursion it replaced, which
+  unfolds each forest through one compatibility rule and subtracts the
+  coproducts of the other forests of that product.
 * The text grammars are parsed in one pass over ``(text, pos)`` with an
   explicit stack of open brackets; the reference is the recursive
   character scanner that parsed them before.  Both must give the same
@@ -17,9 +21,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hochalg import algebra, verify
+from hochalg import algebra, coalgebra, verify
 from hochalg.algebra import Element, nary_bracket, parse_element, star, star_all, succ
-from hochalg.coalgebra import UnitalElement, parse_unital_element
+from hochalg.coalgebra import (
+    CoproductEngine,
+    TensorElement,
+    UnitalElement,
+    coproduct_basis,
+    filtration_level,
+    parse_unital_element,
+)
 from hochalg.trees import (
     Forest,
     ParseError,
@@ -92,6 +103,162 @@ def test_negative_control_bracket_off_by_one(monkeypatch, fresh_primitives):
     assert pbw == [True, True, False, False]
     # succ itself (no middle word) is untouched by the patch
     assert verify.suite_products(4)[0].passed
+
+
+# --- the coproduct -----------------------------------------------------------
+
+
+class _RecursionEngine:
+    """Reference: the forest recursion.  A forest f other than a leaf is one
+    of the forests of x op y (first tree * rest, or a node's children split
+    before the last by succ), so D(f) is D(x op y) by its compatibility
+    rule, minus D(h) for the other forests h of x op y, memoized."""
+
+    def __init__(self, cross_sign=1):
+        self.cross_sign = cross_sign
+        self._memo = {}
+
+    def _rule(self, f, g, basis_op):
+        for (a, b), c in self.coproduct_basis(f)._terms.items():
+            for h in basis_op(b, g):
+                yield (a, h), c
+        for (a, b), c in self.coproduct_basis(g)._terms.items():
+            for h in basis_op(f, a):
+                yield (h, b), c
+        if self.cross_sign:
+            yield (f, g), self.cross_sign
+
+    def coproduct_basis(self, f):
+        cached = self._memo.get(f)
+        if cached is not None:
+            return cached
+        ts = f.trees
+        if len(ts) > 1:
+            x, y, op = Forest(ts[:1]), Forest(ts[1:]), algebra._concat
+        elif ts[0].is_leaf:
+            result = self._memo[f] = TensorElement.zero(2)
+            return result
+        else:
+            cs = ts[0].children
+            x, y, op = Forest(cs[:-1]), Forest(cs[-1:]), algebra._succ_forests
+        assert x.degree < f.degree and y.degree < f.degree
+        terms = algebra._collect(self._rule(x, y, op))
+        for h in op(x, y):
+            if h != f:
+                assert len(h) > 1
+                algebra._collect(((key, -c) for key, c in self.coproduct_basis(h)._terms.items()), terms)
+        result = self._memo[f] = TensorElement._of(terms, 2)
+        return result
+
+
+@pytest.mark.parametrize(
+    "cross_sign, alphabet, max_degree, total",
+    [(1, 1, 8, 10_879), (1, 2, 5, 3_290), (1, 3, 4, 1_965), (0, 1, 6, 515), (-1, 1, 6, 515), (-1, 2, 4, 410)],
+)
+def test_cut_rule_matches_recursion_on_every_forest(cross_sign, alphabet, max_degree, total):
+    engine, reference = CoproductEngine(cross_sign), _RecursionEngine(cross_sign)
+    forests = [f for n in range(1, max_degree + 1) for f in enumerate_forests(n, alphabet)]
+    assert len(forests) == total
+    for f in forests:
+        assert engine.coproduct_basis(f) == reference.coproduct_basis(f), f
+
+
+def _trees(max_leaves, alphabet):
+    return st.recursive(
+        st.integers(0, alphabet - 1).map(leaf),
+        lambda children: st.lists(children, min_size=2, max_size=4).map(graft),
+        max_leaves=max_leaves,
+    ).filter(lambda t: t.leaf_count <= max_leaves)
+
+
+_SHARED_REFERENCE = _RecursionEngine()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(10, 2))
+def test_cut_rule_matches_recursion_on_random_trees(t):
+    f = Forest((t,))
+    assert coproduct_basis(f) == _SHARED_REFERENCE.coproduct_basis(f)
+
+
+def test_cut_rule_terms_are_distinct_with_coefficient_one():
+    # one term per left degree at most, so a forest of degree n has at most n - 1
+    for n in range(1, 8):
+        for f in enumerate_forests(n):
+            terms = coproduct_basis(f)._terms
+            assert set(terms.values()) <= {1}
+            assert len({a.degree for a, _ in terms}) == len(terms) <= n - 1
+
+
+def test_filtration_level_is_one_plus_cuts_per_tree():
+    """A third way to the level of a basis forest: the sum over its trees
+    of 1 + the number of cuts, beside the level recursion and the
+    vanishing of the iterated coproduct."""
+    count = 0
+    for n in range(1, 8):
+        for f in enumerate_forests(n):
+            expected = sum(1 + len(coalgebra._cuts(t)) for t in f.trees)
+            assert filtration_level(Element.from_forest(f)) == expected, f
+            count += 1
+    assert count == 2_321
+
+
+def _cuts_through_every_child(t):
+    """The cut rule wrongly descending into every child, not only the
+    first and the last: every cut whose lowest common ancestor is binary."""
+    if t.is_leaf:
+        return ()
+    cs, out = t.children, []
+    for j, c in enumerate(cs):
+        for a, b in _cuts_through_every_child(c):
+            left, right = cs[:j] + (a,), (b,) + cs[j + 1:]
+            out.append((left[0] if len(left) == 1 else graft(left), right[0] if len(right) == 1 else graft(right)))
+    if len(cs) == 2:
+        out.append((cs[0], cs[1]))
+    return tuple(out)
+
+
+@pytest.fixture
+def fresh_coproducts():
+    coalgebra._cut_coproduct.cache_clear()
+    yield
+    coalgebra._cut_coproduct.cache_clear()
+
+
+def failing_suites(names, max_degree):
+    return {r.suite for r in verify.run_suites(names, max_degree=max_degree) if not r.passed}
+
+
+def test_negative_control_cuts_through_every_child(monkeypatch, fresh_coproducts):
+    corner = Forest((parse_tree("[|,[|,|],|]"),))
+    assert str(coproduct_basis(corner)) == "0"
+    names = ["compat", "coassoc", "primdims", "brackets", "unital"]
+    assert failing_suites(names, 4) == set()
+    monkeypatch.setattr(coalgebra, "_cuts", _cuts_through_every_child)
+    coalgebra._cut_coproduct.cache_clear()
+    assert str(coproduct_basis(corner)) == "[|,|] (x) [|,|]"
+    assert failing_suites(names, 4) == set(names)
+
+
+_real_succ_forests = algebra._succ_forests
+
+
+def _drop_one_tree_result(f, g, mid=()):
+    """The forest generator of succ and the brackets, missing its one-tree
+    forest whenever f or g has several trees."""
+    for h in _real_succ_forests(f, g, mid):
+        if len(h) > 1 or (len(f) == 1 and len(g) == 1):
+            yield h
+
+
+def test_negative_control_succ_term_dropped(monkeypatch, fresh_primitives):
+    names = ["cocycle", "compat", "products", "brackets", "unital"]
+    assert failing_suites(names, 4) == set()
+    algebra.tree_to_primitive.cache_clear()
+    monkeypatch.setattr(algebra, "_succ_forests", _drop_one_tree_result)
+    monkeypatch.setattr(coalgebra, "_succ_forests", _drop_one_tree_result)
+    assert len(algebra.succ_basis(Forest((leaf(), leaf())), Forest((leaf(),))).terms()) == 1
+    assert failing_suites(names, 4) == set(names)
 
 
 # --- the parser --------------------------------------------------------------
