@@ -318,7 +318,7 @@ def primitive_basis(
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
     matrix, forests, _ = coproduct_matrix(n, alphabet_size, engine)
-    return [Element._of({forests[j]: row[j] for j in sorted(row)}) for row in linalg.kernel_rows(matrix)]
+    return [Element._of({forests[j]: c for j, c in vec.items()}) for vec in linalg._kernel_vectors(matrix)]
 
 
 def _resolve_op(which: str):

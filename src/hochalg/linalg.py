@@ -106,8 +106,14 @@ def rank(m: RatMatrix) -> int:
 
 
 def kernel_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
+    """Basis of the right null space (``_kernel_vectors``), with Fraction entries."""
+    return [{j: Fraction(c) for j, c in vec.items()} for vec in _kernel_vectors(m)]
+
+
+def _kernel_vectors(m: RatMatrix) -> list[dict]:
     """Basis of the right null space, reduced row-echelon normalized, as
-    sparse rows (column -> nonzero entry), each leading coefficient 1.
+    sparse rows (column -> nonzero int, or Fraction where the elimination
+    divides), each leading coefficient 1.
 
     One elimination, over the reversed column order: there the special
     vector of a free column j is 1 at j plus entries at pivot columns to
@@ -120,7 +126,7 @@ def kernel_rows(m: RatMatrix) -> list[dict[int, Fraction]]:
         for j, v in pivots[pcol].items():
             if j != pcol:
                 specials[last - j][last - pcol] = -v
-    return [{j: Fraction(c) for j, c in vec.items()} for vec in specials.values()]
+    return list(specials.values())
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:

@@ -8,6 +8,12 @@ case.  To re-record after an intended output change, run
     PYTHONPATH=src python tests/test_golden.py --record
 
 and review the diff of ``tests/golden/``.
+
+``verify_all_8.out`` is not a case here: it is the stdout of
+``verify --max-degree 8 --suite all``, which CI compares with ``diff -u``
+(``.github/workflows/tests.yml``).  As a case it would add about 7 s to
+these tests.  ``record`` does not rewrite it; re-record it by running that
+command.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ coefficients, and every public accessor must still return ``Fraction``."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hochalg import linalg
@@ -20,6 +21,7 @@ from hochalg.algebra import (
 from hochalg.coalgebra import (
     UnitalElement,
     coproduct,
+    coproduct_matrix,
     format_tensor,
     format_unital_element,
     primitive_basis,
@@ -118,3 +120,44 @@ class TestAccessorsReturnFractions:
         assert all(type(m.entry(i, j)) is Fraction for i in range(2) for j in range(3))
         assert all(type(c) is Fraction for i in range(2) for c in m.row(i).values())
         assert m.row(1) == {1: -2}
+
+
+class TestIntegralValuesStoredAsInt:
+    """An integral coefficient given or parsed as a Fraction is stored as
+    an int; a sum of Fractions that cancels to an integer stays one."""
+
+    def test_given_and_parsed(self):
+        f = parse_forest("|")
+        for x in (Element([(f, Fraction(2, 1))]), E("4/2*|"), E("-6/3*|"), Element([(f, 1)]).scaled(Fraction(3, 1))):
+            assert [type(c) for c in x._terms.values()] == [int]
+        assert type(UnitalElement(Fraction(5, 5), E("|"))._terms[None]) is int
+        assert type(linalg.RatMatrix(1, 1, {(0, 0): Fraction(4, 2)})._rows[0][0]) is int
+        assert E("4/2*|") == E("2*|") and format_element(E("4/2*|")) == "2*|"
+
+    def test_fractions_stay_fractions(self):
+        assert [type(c) for c in E("1/2*| + 3/4*[|,|]")._terms.values()] == [Fraction, Fraction]
+        cancelled = E("1/2*|") + E("1/2*|")
+        assert cancelled == E("|")
+        assert [type(c) for c in cancelled._terms.values()] == [Fraction]
+
+
+class TestIntKernelPath:
+    """``primitive_basis`` keeps the elimination's int entries; the public
+    ``kernel_rows`` is the same vectors with Fraction entries."""
+
+    @pytest.mark.parametrize("alphabet, max_degree", [(1, 7), (2, 4)])
+    def test_int_vectors_match_kernel_rows(self, alphabet, max_degree):
+        for n in range(1, max_degree + 1):
+            matrix, forests, _ = coproduct_matrix(n, alphabet)
+            vectors, rows = linalg._kernel_vectors(matrix), linalg.kernel_rows(matrix)
+            assert vectors == rows
+            assert all(type(c) is Fraction for row in rows for c in row.values())
+            basis = primitive_basis(n, alphabet)
+            assert basis == [Element({forests[j]: c for j, c in row.items()}) for row in rows]
+
+    def test_every_entry_is_an_int_unit_up_to_degree_7(self):
+        # an observation, not a claim of the paper: a change of forest
+        # order or of pivot rule shows here first
+        for n in range(1, 8):
+            entries = {(type(c), c) for x in primitive_basis(n) for c in x._terms.values()}
+            assert entries == ({(int, 1)} if n == 1 else {(int, 1), (int, -1)}), n

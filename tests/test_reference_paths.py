@@ -1,4 +1,4 @@
-"""Differential tests of two fast paths against test-local copies of the
+"""Differential tests of fast paths against test-local copies of the
 reference code they replaced.
 
 * ``nary_bracket`` computes brackets of three or more arguments by the
@@ -8,6 +8,10 @@ reference code they replaced.
   formula; the reference is the forest recursion it replaced, which
   unfolds each forest through one compatibility rule and subtracts the
   coproducts of the other forests of that product.
+* ``_succ_forests`` and ``_concat``, the basis products under ``succ``,
+  ``star`` and the brackets, are memoized and return tuples; the
+  reference is each one's unmemoized body (``__wrapped__``) and, for
+  ``_succ_forests``, the nested-loop generator it was before.
 * The text grammars are parsed in one pass over ``(text, pos)`` with an
   explicit stack of open brackets; the reference is the recursive
   character scanner that parsed them before.  Both must give the same
@@ -103,6 +107,44 @@ def test_negative_control_bracket_off_by_one(monkeypatch, fresh_primitives):
     assert pbw == [True, True, False, False]
     # succ itself (no middle word) is untouched by the patch
     assert verify.suite_products(4)[0].passed
+
+
+# --- the memoized basis products ---------------------------------------------
+
+
+def succ_forests_by_loops(f, g, mid=()):
+    """Reference: the forest generator of succ and the brackets as it was
+    before the memo, two nested loops."""
+    ts, ss = f.trees, g.trees
+    p, q = len(ts), len(ss)
+    for k in range(1, q + 1):
+        for i in range(p):
+            node = PlanarTree(children=ts[p - (i + 1):] + mid + ss[:k])
+            yield Forest(ts[: p - (i + 1)] + (node,) + ss[k:])
+
+
+@pytest.mark.parametrize("alphabet, total, count", [(1, 7, 1_805), (2, 4, 292)])
+def test_memoized_products_match_their_bodies_on_every_pair(alphabet, total, count):
+    pairs = list(verify._basis_tuples(total, 2, lambda d: enumerate_forests(d, alphabet)))
+    assert len(pairs) == count
+    for f, g in pairs:
+        forests = algebra._succ_forests(f, g)
+        assert type(forests) is tuple and algebra._succ_forests(f, g) is forests
+        assert forests == algebra._succ_forests.__wrapped__(f, g) == tuple(succ_forests_by_loops(f, g))
+        assert algebra._concat(f, g) == algebra._concat.__wrapped__(f, g) == (Forest(f.trees + g.trees),)
+        terms = algebra.succ_basis(f, g).terms()
+        assert len(terms) == len(f) * len(g) and set(terms.values()) == {1}
+
+
+def test_memoized_bracket_forests_match_their_body_on_every_triple():
+    triples = list(verify._basis_tuples(5, 3, enumerate_forests))
+    assert len(triples) == 37
+    for f, m, g in triples:
+        forests = algebra._succ_forests(f, g, m.trees)
+        assert algebra._succ_forests(f, g, m.trees) is forests
+        assert forests == algebra._succ_forests.__wrapped__(f, g, m.trees)
+        assert forests == tuple(succ_forests_by_loops(f, g, m.trees))
+        assert len(set(forests)) == len(f) * len(g)
 
 
 # --- the coproduct -----------------------------------------------------------
