@@ -22,17 +22,22 @@ of forests, or a bracket triple, is multiplied once per process.  Under
 (F large Schroeder: 8,557 at N = 8), with the bracket triples and the
 cocycle suite's degree-9 triples on top; a library process keeps one entry
 per distinct pair it asks for.
+
+The element parser looks each term up in a text memo (see ``trees``) by its
+text, the alphabet size and the unital mode, so a repeated term is parsed once.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+import re
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from numbers import Rational
 
 from .trees import Forest, ParseError, PlanarTree, format_forest, leaf
-from .trees import _DIGITS, _parse_forest, _skip_digits, _skip_ws
+from .trees import _DIGITS, _MEMO_TEXT, _check_alphabet, _parse_forest, _remember, _skip_digits, _skip_ws
 
 _ONE = 1
 
@@ -64,7 +69,7 @@ def _collect(pairs: Iterable[tuple[Hashable, Rational]], into: dict | None = Non
 def _linear(terms: dict, image: Callable[[Hashable], Iterable[tuple[Hashable, Rational]]]) -> dict:
     """Collected terms of the linear map that sends each key to image(key),
     its (key, nonzero coefficient) pairs, applied to ``terms``."""
-    return _collect((key, c * d) for f, c in terms.items() for key, d in image(f))
+    return _collect((key, c if d == 1 else c * d) for f, c in terms.items() for key, d in image(f))
 
 
 def _items(terms) -> Iterable:
@@ -102,17 +107,15 @@ class LinComb:
         """What equality compares besides the terms: the type (tensors add the arity)."""
         return type(self)
 
-    @staticmethod
-    def _sort_key(key):
-        return key.sort_key()
+    _sort_key = operator.attrgetter("_key")
 
     def terms(self) -> dict:
         return {key: Fraction(c) for key, c in self._terms.items()}
 
     def _sorted(self) -> list[tuple[Hashable, Rational]]:
         """Stored terms in canonical key order, as printed."""
-        sort_key = self._sort_key
-        return sorted(self._terms.items(), key=lambda kv: sort_key(kv[0]))
+        terms = self._terms
+        return [(key, terms[key]) for key in sorted(terms, key=self._sort_key)]
 
     def sorted_terms(self) -> list[tuple[Hashable, Fraction]]:
         """Terms in canonical key order."""
@@ -297,7 +300,8 @@ def nary_bracket(args: Sequence[Element]) -> Element:
     if n < 2:
         raise ValueError(f"bracket needs at least 2 arguments, got {n}")
     if n == 2:
-        return succ(*args) - star(*args)
+        x, y = args
+        return Element._of(_collect(_bilinear(-x, y, _concat).items(), _bilinear(x, y, _succ_forests)))
     inner = star_all(args[1:-1])
 
     def pairs() -> Iterator[tuple[Forest, Rational]]:
@@ -376,10 +380,10 @@ def _parse_rational(text: str, pos: int) -> tuple[int | Fraction, int]:
     return _exact(Fraction(num, den)), end
 
 
-def _parse_term(text: str, pos: int, alphabet_size: int | None, unital: bool):
+def _parse_term(text: str, pos: int, alphabet_size: int | None, unital: bool, pending: list):
     """One term and the position after it: (coefficient, basis, position)
-    where basis is a Forest or None for the unit (unital mode), or
-    (0, 'zero', position) for a bare 0."""
+    where basis is a Forest, or None for the unit (unital mode) and for a
+    bare 0, whose coefficient is 0."""
     coeff = 1
     if text[pos:pos + 1] in _DIGITS:
         value, mark = _parse_rational(text, pos)
@@ -388,7 +392,7 @@ def _parse_term(text: str, pos: int, alphabet_size: int | None, unital: bool):
             pos = _skip_ws(text, pos + 1)
             coeff = value
         elif value == 0:
-            return 0, "zero", mark
+            return 0, None, mark
         elif unital and value == 1:
             return coeff, None, mark
         else:
@@ -398,25 +402,45 @@ def _parse_term(text: str, pos: int, alphabet_size: int | None, unital: bool):
         return coeff, None, pos + 1
     if c not in ("|", "["):
         raise ParseError("expected a forest" + (" or '1'" if unital else ""), pos)
-    f, pos = _parse_forest(text, pos, alphabet_size)
+    f, pos = _parse_forest(text, pos, alphabet_size, pending)
     return coeff, f, pos
 
 
+# a term's text runs to the next '+' or '-', neither of which occurs inside a term
+_TERM_RUN = re.compile(r"[^+\-]*[^+\- \t]")
+_TERM_MEMO: dict[tuple[str, int | None, bool], tuple[Rational, Forest | None]] = {}
+
+
 def _parse_terms(text: str, alphabet_size: int | None, unital: bool):
-    """Shared element parser; returns the (slot, coefficient) terms, with
-    the slot None for the unit (unital mode only)."""
+    """Shared element parser; returns the (slot, nonzero coefficient)
+    terms, with the slot None for the unit (unital mode only)."""
+    _check_alphabet(alphabet_size)
     terms: list[tuple[Forest | None, Rational]] = []
+    pending: list = []
     pos = _skip_ws(text, 0)
     sign = 1
     if text[pos:pos + 1] in ("+", "-"):
         sign = -1 if text[pos] == "-" else 1
         pos = _skip_ws(text, pos + 1)
     while True:
-        coeff, basis, pos = _parse_term(text, pos, alphabet_size, unital)
-        if basis != "zero":
+        run = _TERM_RUN.match(text, pos)
+        hit = None
+        if run is not None:
+            end = run.end()
+            key = (text[pos:end], alphabet_size, unital)
+            hit = _TERM_MEMO.get(key)
+        if hit is None:
+            coeff, basis, at = _parse_term(text, pos, alphabet_size, unital, pending)
+            if run is not None and at == end and end - pos <= _MEMO_TEXT:
+                pending.append((_TERM_MEMO, key, (coeff, basis)))
+            pos = at
+        else:
+            (coeff, basis), pos = hit, end
+        if coeff:
             terms.append((basis, coeff if sign > 0 else -coeff))
         pos = _skip_ws(text, pos)
         if pos >= len(text):
+            _remember(pending)
             return terms
         op = text[pos]
         if op not in ("+", "-"):
@@ -430,4 +454,4 @@ def parse_element(text: str, alphabet_size: int | None = None) -> Element:
 
     parse_element(format_element(x)) == x for every element x.
     """
-    return Element(_parse_terms(text, alphabet_size, unital=False))
+    return Element._of(_collect(_parse_terms(text, alphabet_size, unital=False)))

@@ -84,7 +84,7 @@ Slot = Forest | None
 
 def _slot_key(s: Slot):
     """Canonical order of slots: the unit before every forest."""
-    return (0, 0, ()) if s is None else s.sort_key()
+    return (0, 0, ()) if s is None else s._key
 
 
 class TensorElement(LinComb):
@@ -128,7 +128,7 @@ class TensorElement(LinComb):
 
     @staticmethod
     def _sort_key(key):
-        return tuple(_slot_key(s) for s in key)
+        return tuple(map(_slot_key, key))
 
     @staticmethod
     def zero(arity: int) -> TensorElement:
@@ -458,5 +458,4 @@ def format_unital_element(x: UnitalElement) -> str:
 
 def parse_unital_element(text: str, alphabet_size: int | None = None) -> UnitalElement:
     """Parse the element grammar extended with '1' as the unit factor."""
-    terms = _parse_terms(text, alphabet_size, unital=True)
-    return UnitalElement._of(_collect((s, c) for s, c in terms if c))
+    return UnitalElement._of(_collect(_parse_terms(text, alphabet_size, unital=True)))

@@ -12,11 +12,24 @@ and ``==`` and ``hash`` are identity.  Values are read-only and keep their
 canonical text once it is first formatted.  A lookup that finds a live
 value takes no lock; only building a new value holds the one module lock,
 so the module is safe for concurrent use.
+
+Each character parser has a text memo in front of it: here the run of
+forest characters at a forest's start, with the alphabet size, maps to its
+forest, and in ``algebra`` each term of an element.  A text is stripped of
+trailing spaces and tabs, and what follows it is spaces and then a
+character outside its grammar, or the end of the input, so it parses the
+same way in any context.  An entry is written only from the character
+parser's own result, when that parse ended at the end of the text and the
+whole input parsed, so every miss and every error goes through the
+character parser.  A memo is a plain dict (a race at worst parses a text
+twice) of at most 16,384 entries, cleared when full, and no text longer
+than 128 characters is stored.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
@@ -231,6 +244,12 @@ def _forests_cached(n: int, alphabet_size: int) -> tuple[Forest, ...]:
     return tuple(sorted([Forest((t,)) for t in trees] + several, key=Forest.sort_key))
 
 
+def _check_alphabet(alphabet_size: int | None) -> None:
+    """Refuse an alphabet of no generators (None means any label)."""
+    if alphabet_size is not None and alphabet_size < 1:
+        raise ValueError(f"alphabet size must be positive, got {alphabet_size}")
+
+
 def enumerate_trees(n: int, alphabet_size: int = 1) -> list[PlanarTree]:
     """All trees with exactly n leaves over the alphabet, canonically ordered.
 
@@ -238,8 +257,7 @@ def enumerate_trees(n: int, alphabet_size: int = 1) -> list[PlanarTree]:
     """
     if n < 1:
         raise ValueError(f"leaf count must be positive, got {n}")
-    if alphabet_size < 1:
-        raise ValueError(f"alphabet size must be positive, got {alphabet_size}")
+    _check_alphabet(alphabet_size)
     return [f[0] for f in _forests_cached(n, alphabet_size) if len(f) == 1]
 
 
@@ -250,8 +268,7 @@ def enumerate_forests(n: int, alphabet_size: int = 1) -> list[Forest]:
     """
     if n < 1:
         raise ValueError(f"degree must be positive, got {n}")
-    if alphabet_size < 1:
-        raise ValueError(f"alphabet size must be positive, got {alphabet_size}")
+    _check_alphabet(alphabet_size)
     return list(_forests_cached(n, alphabet_size))
 
 
@@ -281,6 +298,21 @@ def format_forest(f: Forest) -> str:
 
 _WS = (" ", "\t")
 _DIGITS = frozenset("0123456789")
+
+
+# the text memos (module docstring)
+_MEMO_ENTRIES = 1 << 14  # a memo that is full is cleared
+_MEMO_TEXT = 128  # a longer text is parsed every time
+_FOREST_RUN = re.compile(r"[\[\]|,0-9 \t]*[\[\]|,0-9]")
+_FOREST_MEMO: dict[tuple[str, int | None], Forest] = {}
+
+
+def _remember(pending: list) -> None:
+    """Write the (memo, key, value) entries of an input that has parsed."""
+    for memo, key, value in pending:
+        if len(memo) >= _MEMO_ENTRIES:
+            memo.clear()
+        memo[key] = value
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -333,17 +365,30 @@ def _parse_tree(text: str, pos: int, alphabet_size: int | None) -> tuple[PlanarT
             return node, pos
 
 
-def _parse_forest(text: str, pos: int, alphabet_size: int | None) -> tuple[Forest, int]:
-    """The forest at ``pos`` and the position after its last tree."""
-    tree, pos = _parse_tree(text, pos, alphabet_size)
+def _parse_forest(text: str, pos: int, alphabet_size: int | None, pending: list) -> tuple[Forest, int]:
+    """The forest at ``pos`` and the position after its last tree.  The run
+    of forest characters at ``pos`` is looked up in ``_FOREST_MEMO`` first;
+    a miss parses the trees, and a parse that ends at the end of the run
+    goes on ``pending``, which the caller writes once its text has parsed."""
+    run = _FOREST_RUN.match(text, pos)
+    if run is not None:
+        end = run.end()
+        key = (text[pos:end], alphabet_size)
+        f = _FOREST_MEMO.get(key)
+        if f is not None:
+            return f, end
+    tree, at = _parse_tree(text, pos, alphabet_size)
     trees = [tree]
     while True:
-        start = _skip_ws(text, pos)
+        start = _skip_ws(text, at)
         if text[start:start + 1] not in ("|", "["):
-            return Forest(tuple(trees)), pos
-        if start == pos:
-            raise ParseError("expected whitespace between trees of a forest", pos)
-        tree, pos = _parse_tree(text, start, alphabet_size)
+            f = Forest(tuple(trees))
+            if run is not None and at == end and end - pos <= _MEMO_TEXT:
+                pending.append((_FOREST_MEMO, key, f))
+            return f, at
+        if start == at:
+            raise ParseError("expected whitespace between trees of a forest", at)
+        tree, at = _parse_tree(text, start, alphabet_size)
         trees.append(tree)
 
 
@@ -359,13 +404,17 @@ def parse_forest(text: str, alphabet_size: int | None = None) -> Forest:
     When ``alphabet_size`` is given, generator labels outside the alphabet
     are rejected.  Raises ParseError with the failing position otherwise.
     """
-    f, pos = _parse_forest(text, _skip_ws(text, 0), alphabet_size)
+    _check_alphabet(alphabet_size)
+    pending: list = []
+    f, pos = _parse_forest(text, _skip_ws(text, 0), alphabet_size, pending)
     _expect_end(text, pos, "forest")
+    _remember(pending)
     return f
 
 
 def parse_tree(text: str, alphabet_size: int | None = None) -> PlanarTree:
     """Parse a single tree; rejects trailing input."""
+    _check_alphabet(alphabet_size)
     t, pos = _parse_tree(text, _skip_ws(text, 0), alphabet_size)
     _expect_end(text, pos, "tree")
     return t

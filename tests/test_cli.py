@@ -260,6 +260,20 @@ class TestContract:
         reason = "No such file or directory" if target == "missing" else "Is a directory"
         assert captured.err == f"error: cannot read {path}: {reason}\n"
 
+    @pytest.mark.parametrize("alphabet", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["op", "star", "|", "|"], ["coproduct", "|"], ["coproduct", "--unital", "1 + |"],
+         ["bracket", "|", "|"], ["filtration", "|"]],
+    )
+    def test_alphabet_without_generators_exits_two(self, capsys, argv, alphabet):
+        run(argv)  # the same text parsed under no alphabet first
+        capsys.readouterr()
+        assert run(argv + ["--alphabet", alphabet]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: alphabet size must be positive, got {alphabet}\n"
+
     def test_printed_elements_roundtrip(self, capsys):
         from hochalg.algebra import nary_bracket, succ
 

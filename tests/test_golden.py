@@ -7,7 +7,10 @@ case.  To re-record after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-and review the diff of ``tests/golden/``.
+and review the diff of ``tests/golden/``.  Commands run from the root of
+the repository, where the ``--from-file`` cases find their ``.in`` files;
+their lines repeat terms in new positions and spacing, so a warm parse is
+checked in one process.
 
 ``verify_all_8.out`` is not a case here: it is the stdout of
 ``verify --max-degree 8 --suite all``, which CI compares with ``diff -u``
@@ -21,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,7 +32,8 @@ import pytest
 
 from hochalg.cli import run
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
+GOLDEN_DIR = ROOT / "tests" / "golden"
 EXPECTED = GOLDEN_DIR / "expected.json"
 
 CASES: dict[str, list[str]] = {
@@ -54,6 +59,8 @@ CASES: dict[str, list[str]] = {
     "verify_pbw_6": ["verify", "--max-degree", "6", "--suite", "pbw"],
     "filtration": ["filtration", "| [|,|] | - 2*[|,[|,|]] |"],
     "filtration_zero": ["filtration", "0"],
+    "coproduct_batch": ["coproduct", "--from-file", "tests/golden/coproduct_batch.in"],
+    "filtration_batch": ["filtration", "--from-file", "tests/golden/filtration_batch.in"],
     "parse_error_unary_node": ["op", "star", "[|]", "|"],
     "parse_error_coefficient": ["coproduct", "3 |"],
     "parse_error_non_ascii_digit": ["filtration", "|²"],
@@ -70,6 +77,7 @@ def replay(argv: list[str]) -> tuple[int, str, str]:
 
 
 def record() -> None:
+    os.chdir(ROOT)
     GOLDEN_DIR.mkdir(exist_ok=True)
     expected = {}
     for name, argv in CASES.items():
@@ -91,7 +99,8 @@ def test_every_case_is_recorded(expected):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, expected):
+def test_golden(name, expected, monkeypatch):
+    monkeypatch.chdir(ROOT)
     code, out, err = replay(CASES[name])
     want_out = (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
     assert out == want_out

@@ -18,6 +18,10 @@ reference code they replaced.
   value, or the same ``ParseError`` message and position.  The one
   intended difference is pinned last: a digit outside ASCII 0-9 is a
   parse error at its position.
+* The forest and term parsers have text memos in front of them; the
+  reference is the same scanner, on the text alone (cold and warm) and
+  as one term of a larger element.  A failing input writes no entry, the
+  settings are part of each key, and both bounds hold.
 """
 
 from fractions import Fraction
@@ -25,7 +29,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hochalg import algebra, coalgebra, verify
+from hochalg import algebra, coalgebra, trees, verify
 from hochalg.algebra import Element, nary_bracket, parse_element, star, star_all, succ
 from hochalg.coalgebra import (
     CoproductEngine,
@@ -537,6 +541,184 @@ def test_parsers_match_reference(text, alphabet_size):
 def test_parsers_match_reference_on_examples(text):
     for alphabet_size in (None, 1, 2, 3):
         assert_parsers_agree(text, alphabet_size)
+
+
+# --- the text memos ---------------------------------------------------------------
+
+
+def clear_memos():
+    trees._FOREST_MEMO.clear()
+    algebra._TERM_MEMO.clear()
+
+
+def memo_state():
+    return dict(trees._FOREST_MEMO), dict(algebra._TERM_MEMO)
+
+
+def checked_outcome(parse, text, alphabet_size):
+    """outcome(), asserting that a failing parse leaves both memos as they were."""
+    before = memo_state()
+    got = outcome(parse, text, alphabet_size)
+    if got[0] != "value":
+        assert memo_state() == before, (parse.__name__, text, alphabet_size)
+    return got
+
+
+OTHER_TERM = "-2/3*[|,| |] |"
+
+
+def in_context(text):
+    """text as the first, middle and last term of a larger element."""
+    return [
+        f"{text} + {OTHER_TERM} - |\t",
+        f"| - {text} + {OTHER_TERM}\t",
+        f"{OTHER_TERM} + | - {text}\t",
+    ]
+
+
+def assert_memo_paths_agree(text, alphabet_size):
+    """Each parser cold, then warm, then the element parsers on text in
+    context and once more alone, against the reference scanner."""
+    for parse, reference in PARSERS:
+        want = outcome(reference, text, alphabet_size)
+        clear_memos()
+        assert checked_outcome(parse, text, alphabet_size) == want, ("cold", parse.__name__, text)
+        assert checked_outcome(parse, text, alphabet_size) == want, ("warm", parse.__name__, text)
+    for parse, reference in PARSERS[2:]:
+        for context in in_context(text):
+            want = outcome(reference, context, alphabet_size)
+            assert checked_outcome(parse, context, alphabet_size) == want, (parse.__name__, context)
+        assert checked_outcome(parse, text, alphabet_size) == outcome(reference, text, alphabet_size)
+
+
+MEMO_EXAMPLES = [
+    "|", "| |", "[|,|]", "|1 [|,|2]", " [ |\t, |] |  ", "3/2*| |", "2 * [|,|]", "0", "0*|", "0/4",
+    "1", "2*1", "1*|", "|3", "| |3", "|,|", "| x", "3 |", "| + x", "| - [|,|] + [|]", "[|,|]|",
+    "| |]", "- | + 1/2*| |", "+ 0 - 0*|", "|\t+\t|", "| +", "1/0*|",
+]
+
+
+@pytest.mark.parametrize("text", MEMO_EXAMPLES)
+def test_memos_match_reference_on_examples(text):
+    for alphabet_size in (None, 1, 2, 3):
+        assert_memo_paths_agree(text, alphabet_size)
+
+
+@settings(max_examples=600, deadline=None)
+@given(texts, st.sampled_from([None, 1, 2, 3]))
+def test_memos_match_reference(text, alphabet_size):
+    assert_memo_paths_agree(text, alphabet_size)
+
+
+def test_failing_input_writes_no_entry():
+    clear_memos()
+    for text in ["| + [|,|] + x", "2*| | - [|,|]]", "| [|,|] - 3"]:
+        with pytest.raises(ParseError):
+            parse_element(text)
+        with pytest.raises(ParseError):
+            parse_unital_element(text)
+    with pytest.raises(ParseError):
+        parse_forest("| [|,|] x")
+    assert memo_state() == ({}, {})
+    parse_element("| + [|,|] + | |")
+    assert set(algebra._TERM_MEMO) == {("|", None, False), ("[|,|]", None, False), ("| |", None, False)}
+    assert set(trees._FOREST_MEMO) == {("|", None), ("[|,|]", None), ("| |", None)}
+
+
+def _no_character_parse(*args):
+    raise AssertionError("the character parser ran on a memo hit")
+
+
+def check_settings_in_keys(monkeypatch):
+    """A hit under one alphabet size or mode is no hit under another."""
+    clear_memos()
+    assert parse_element("|3") == Element.from_tree(leaf(3))
+    assert parse_forest("|3") == Forest((leaf(3),))
+    assert parse_unital_element("1") == UnitalElement.one()
+    with monkeypatch.context() as m:  # the three texts are now hits
+        m.setattr(algebra, "_parse_term", _no_character_parse)
+        m.setattr(trees, "_parse_tree", _no_character_parse)
+        assert parse_element("|3") == Element.from_tree(leaf(3))
+        assert parse_forest("|3") == Forest((leaf(3),))
+        assert parse_unital_element("1") == UnitalElement.one()
+    for parse in (parse_element, parse_unital_element, parse_forest):
+        assert outcome(parse, "|3", 2) == ("ParseError", "unknown generator label 3 (alphabet size 2) (at position 2)", 2)
+    assert outcome(parse_element, "1", None) == (
+        "ParseError", "expected '*' and a forest after a coefficient (at position 1)", 1)
+
+
+def test_memo_keys_hold_the_settings(monkeypatch):
+    check_settings_in_keys(monkeypatch)
+
+
+class _ForgetsAlphabet(dict):
+    """A memo whose keys lose the alphabet size: the mutation."""
+
+    @staticmethod
+    def _mutated(key):
+        return (key[0],) + key[2:]
+
+    def get(self, key, default=None):
+        return super().get(self._mutated(key), default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(self._mutated(key), value)
+
+
+def test_negative_control_alphabet_dropped_from_keys(monkeypatch):
+    monkeypatch.setattr(trees, "_FOREST_MEMO", _ForgetsAlphabet())
+    monkeypatch.setattr(algebra, "_TERM_MEMO", _ForgetsAlphabet())
+    with pytest.raises(AssertionError):
+        check_settings_in_keys(monkeypatch)
+    # each memo alone carries the fault to its parser
+    assert parse_forest("|3", 2) == Forest((leaf(3),))
+    algebra._TERM_MEMO.clear()
+    parse_element("|3")
+    monkeypatch.setattr(trees, "_FOREST_MEMO", {})
+    assert parse_element("|3", 2) == Element.from_tree(leaf(3))
+
+
+def spaced_forest(length):
+    """Two leaves, with spaces between them to make ``length`` characters."""
+    return "|" + " " * (length - 2) + "|"
+
+
+def test_text_length_bound():
+    clear_memos()
+    longest, too_long = spaced_forest(trees._MEMO_TEXT), spaced_forest(trees._MEMO_TEXT + 1)
+    assert parse_element(f"{longest} - {too_long}") == Element()
+    assert parse_forest(too_long) == parse_forest(longest)
+    assert set(trees._FOREST_MEMO) == {(longest, None)}
+    assert set(algebra._TERM_MEMO) == {(longest, None, False)}
+    coeff = "1/" + "1" * (trees._MEMO_TEXT + 1) + "*"  # a long term with a short forest
+    assert parse_element(coeff + "|") == Element.from_tree(leaf(), Fraction(1, int(coeff[2:-1])))
+    assert (coeff + "|", None, False) not in algebra._TERM_MEMO
+    assert ("|", None) in trees._FOREST_MEMO
+
+
+def test_entry_bound():
+    clear_memos()
+    cap = trees._MEMO_ENTRIES
+    for label in range(cap):
+        parse_element(f"|{label}")
+    assert len(trees._FOREST_MEMO) == len(algebra._TERM_MEMO) == cap
+    parse_element(f"|{cap}")  # the memos were full: cleared, then written
+    assert set(trees._FOREST_MEMO) == {(f"|{cap}", None)}
+    assert set(algebra._TERM_MEMO) == {(f"|{cap}", None, False)}
+    assert parse_element("|0") == Element.from_tree(leaf(0))
+
+
+@pytest.mark.parametrize("alphabet_size", [0, -1])
+@pytest.mark.parametrize("parse", [parse_tree, parse_forest, parse_element, parse_unital_element])
+def test_alphabet_without_generators_is_refused(parse, alphabet_size):
+    clear_memos()  # then entries under this alphabet size: a hit must not get past the check
+    trees._FOREST_MEMO[("|", alphabet_size)] = Forest((leaf(),))
+    for unital in (False, True):
+        algebra._TERM_MEMO[("|", alphabet_size, unital)] = (1, Forest((leaf(),)))
+    with pytest.raises(ValueError) as err:
+        parse("|", alphabet_size)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"alphabet size must be positive, got {alphabet_size}"
 
 
 # --- digits are ASCII ----------------------------------------------------------
