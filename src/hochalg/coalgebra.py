@@ -329,21 +329,47 @@ def _resolve_op(which: str):
     raise ValueError(f"operation must be 'star'/'*' or 'succ'/'>', got {which!r}")
 
 
-def _rule_holds(x: LinComb, y: LinComb, op, cop, cross: int, factor_cop=None) -> bool:
+def _basis_product(which: str):
+    """The basis product named by ``which``: ``_concat`` or ``_succ_forests``,
+    read from this module when called, so a patched one is seen."""
+    return _concat if _resolve_op(which) is star else _succ_forests
+
+
+def _rule_holds(x: LinComb, y: LinComb, basis_op, cop, cross: int, factor_cop=None) -> bool:
     """Exact equality of both sides of a compatibility rule,
 
         cop(x op y) = x_(1) (x) (x_(2) op y) + (x op y_(1)) (x) y_(2) + cross * x (x) y,
 
-    with Sweedler components taken for the coproduct ``cop``.  The left
-    side applies ``cop`` to the expanded product; the right side is
-    assembled from cop(x) and cop(y) (or ``factor_cop``, a sweep's memo),
-    a slot s standing for the basis element with key s.  Written apart
-    from the cut rule, so the two evaluations are independent.
+    for the basis product ``basis_op`` of op, with Sweedler components taken
+    for the coproduct ``cop``.  The left side applies ``cop`` to the expanded
+    product.  The right side is summed in one pass from the terms of cop(x)
+    and cop(y) (or ``factor_cop``, a sweep's memo), those of x and y, and
+    ``basis_op`` on their slots, where the slot None is a two-sided unit.
+    Written apart from the cut rule and from ``_bilinear``'s unit, so the two
+    evaluations are independent.
     """
-    basis = type(x)._of
-    left = (factor_cop or cop)(x).map_slot(1, lambda b: op(basis({b: _ONE}), y)._terms.items())
-    right = (factor_cop or cop)(y).map_slot(0, lambda a: op(x, basis({a: _ONE}))._terms.items())
-    return cop(op(x, y)) == left + right + tensor_of_elements(x, y).scaled(cross)
+    fc = factor_cop or cop
+
+    def times(s: Slot, t: Slot):
+        return (t,) if s is None else (s,) if t is None else basis_op(s, t)
+
+    def right():
+        for (a, b), c in fc(x)._terms.items():
+            for g, d in y._terms.items():
+                cd = c * d
+                for h in times(b, g):
+                    yield (a, h), cd
+        for (a, b), d in fc(y)._terms.items():
+            for f, c in x._terms.items():
+                cd = c * d
+                for h in times(f, a):
+                    yield (h, b), cd
+        if cross:
+            for f, c in x._terms.items():
+                for g, d in y._terms.items():
+                    yield (f, g), cross * c * d
+
+    return cop(type(x)._of(_bilinear(x, y, basis_op)))._terms == _collect(right())
 
 
 def check_compatibility(
@@ -351,7 +377,7 @@ def check_compatibility(
 ) -> bool:
     """The compatibility rule of ``which`` with the + cross term, both
     sides evaluated independently; this witnesses well-definedness."""
-    return _rule_holds(x, y, _resolve_op(which), (engine or _DEFAULT_ENGINE).coproduct, 1)
+    return _rule_holds(x, y, _basis_product(which), (engine or _DEFAULT_ENGINE).coproduct, 1)
 
 
 # --- unital extension ---------------------------------------------------
@@ -408,8 +434,7 @@ def unital_succ(x: UnitalElement, y: UnitalElement) -> UnitalElement:
 
 
 def unital_ops(x: UnitalElement, y: UnitalElement, which: str) -> UnitalElement:
-    op = _resolve_op(which)
-    return unital_star(x, y) if op is star else unital_succ(x, y)
+    return UnitalElement._of(_bilinear(x, y, _basis_product(which)))
 
 
 def unital_coproduct(x: UnitalElement, engine: CoproductEngine | None = None) -> TensorElement:
@@ -435,8 +460,7 @@ def check_unital_compatibility(
     with Sweedler components taken for d.  Both sides are evaluated
     independently and compared exactly.
     """
-    op = unital_star if _resolve_op(which) is star else unital_succ
-    return _rule_holds(x, y, op, lambda z: unital_coproduct(z, engine), -1)
+    return _rule_holds(x, y, _basis_product(which), lambda z: unital_coproduct(z, engine), -1)
 
 
 # --- text form ----------------------------------------------------------

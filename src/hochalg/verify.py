@@ -36,6 +36,7 @@ from .coalgebra import (
     CoproductEngine,
     TensorElement,
     UnitalElement,
+    _basis_product,
     _rule_holds,
     apply_coproduct_at,
     check_compatibility,
@@ -303,15 +304,11 @@ def suite_unital(max_degree: int, engine: CoproductEngine | None = None) -> list
     out.append(CheckResult("unital", "d(|) = 1 (x) | + | (x) 1", d_bar == expected))
     cop = functools.partial(unital_coproduct, engine=engine)
     d = functools.cache(cop)  # d of each basis element once; _rule_holds applies cop to products
-    out.extend(
-        _tally(
-            "unital",
-            f"minus-sign {which} rule on {{count}} unital basis pairs, total degree <= {max_degree}",
-            _basis_tuples(max_degree, 2, _unital_basis, lowest=0),
-            lambda x, y: _rule_holds(x, y, functools.partial(unital_ops, which=which), cop, -1, d),
-        )
-        for which in ("star", "succ")
-    )
+    for which in ("star", "succ"):
+        op = _basis_product(which)
+        label = f"minus-sign {which} rule on {{count}} unital basis pairs, total degree <= {max_degree}"
+        cases = _basis_tuples(max_degree, 2, _unital_basis, lowest=0)
+        out.append(_tally("unital", label, cases, lambda x, y: _rule_holds(x, y, op, cop, -1, d)))
     first = itertools.islice(_basis_tuples(max_degree, 1, _unital_basis, lowest=0), 10)
     unit_law_ok = all(
         unital_ops(ONE, x, w) == x and unital_ops(x, ONE, w) == x

@@ -12,6 +12,10 @@ reference code they replaced.
   ``star`` and the brackets, are memoized and return tuples; the
   reference is each one's unmemoized body (``__wrapped__``) and, for
   ``_succ_forests``, the nested-loop generator it was before.
+* ``_rule_holds`` checks a compatibility rule by summing its right side in
+  one pass from the basis products; the reference substitutes element
+  products into one slot of each coproduct and adds three tensors.  The
+  unit pairs of the ``unital`` suite have negative controls of their own.
 * The text grammars are parsed in one pass over ``(text, pos)`` with an
   explicit stack of open brackets; the reference is the recursive
   character scanner that parsed them before.  Both must give the same
@@ -38,6 +42,10 @@ from hochalg.coalgebra import (
     coproduct_basis,
     filtration_level,
     parse_unital_element,
+    tensor_of_elements,
+    unital_coproduct,
+    unital_star,
+    unital_succ,
 )
 from hochalg.trees import (
     Forest,
@@ -305,6 +313,112 @@ def test_negative_control_succ_term_dropped(monkeypatch, fresh_primitives):
     monkeypatch.setattr(coalgebra, "_succ_forests", _drop_one_tree_result)
     assert len(algebra.succ_basis(Forest((leaf(), leaf())), Forest((leaf(),))).terms()) == 1
     assert failing_suites(names, 4) == set(names)
+
+
+# --- the compatibility rule check ---------------------------------------------
+
+
+def rule_holds_by_tensors(x, y, op, cop, cross):
+    """Reference: the rule check as it was, with the element product ``op``
+    substituted into one slot of cop(x) and of cop(y) and three tensors added."""
+    basis = type(x)._of
+    left = cop(x).map_slot(1, lambda b: op(basis({b: 1}), y)._terms.items())
+    right = cop(y).map_slot(0, lambda a: op(x, basis({a: 1}))._terms.items())
+    return cop(op(x, y)) == left + right + tensor_of_elements(x, y).scaled(cross)
+
+
+RULES = [("star", star, unital_star), ("succ", succ, unital_succ)]
+
+
+@pytest.mark.parametrize("cross_sign", [1, 0, -1])
+@pytest.mark.parametrize("alphabet, total, count", [(1, 5, 89), (2, 3, 36)])
+def test_rule_check_matches_tensor_sums_on_basis_pairs(alphabet, total, count, cross_sign):
+    """s * D satisfies the rules with the cross term scaled by s (the
+    coalgebra docstring, 4), so a rule holds exactly when cross = s."""
+    def basis(d):
+        return [Element.from_forest(f) for f in enumerate_forests(d, alphabet)]
+
+    pairs = list(verify._basis_tuples(total, 2, basis))
+    assert len(pairs) == count
+    cop = CoproductEngine(cross_sign).coproduct
+    for which, op, _ in RULES:
+        basis_op = coalgebra._basis_product(which)
+        for cross in {1, cross_sign}:
+            for x, y in pairs:
+                verdict = coalgebra._rule_holds(x, y, basis_op, cop, cross)
+                assert verdict == rule_holds_by_tensors(x, y, op, cop, cross) == (cross == cross_sign), (x, y)
+
+
+@pytest.mark.parametrize("which, _, op", RULES, ids=["star", "succ"])
+def test_rule_check_matches_tensor_sums_on_unital_pairs(which, _, op):
+    pairs = list(verify._basis_tuples(5, 2, verify._unital_basis, lowest=0))
+    assert len(pairs) == 332
+    basis_op = coalgebra._basis_product(which)
+    for cross in (-1, 1):
+        failing = [(x, y) for x, y in pairs if not coalgebra._rule_holds(x, y, basis_op, unital_coproduct, cross)]
+        failing_by_tensors = [(x, y) for x, y in pairs if not rule_holds_by_tensors(x, y, op, unital_coproduct, cross)]
+        assert failing == failing_by_tensors
+        # with + the cross term is off by 2 x (x) y, which is never zero
+        assert failing == ([] if cross == -1 else pairs)
+
+
+unital_elements = st.builds(UnitalElement, fractions, elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements, elements, st.sampled_from([1, 0, -1]))
+def test_rule_check_matches_tensor_sums_on_rational_elements(x, y, cross_sign):
+    cop = CoproductEngine(cross_sign).coproduct
+    for which, op, _ in RULES:
+        verdict = coalgebra._rule_holds(x, y, coalgebra._basis_product(which), cop, 1)
+        assert verdict == rule_holds_by_tensors(x, y, op, cop, 1) == (cross_sign == 1 or x.is_zero or y.is_zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unital_elements, unital_elements, st.sampled_from([-1, 1]))
+def test_rule_check_matches_tensor_sums_on_unital_elements(x, y, cross):
+    assert x.unit and y.unit
+    for which, _, op in RULES:
+        verdict = coalgebra._rule_holds(x, y, coalgebra._basis_product(which), unital_coproduct, cross)
+        assert verdict == rule_holds_by_tensors(x, y, op, unital_coproduct, cross) == (cross == -1)
+        assert coalgebra.check_unital_compatibility(x, y, which)
+
+
+def _d_one_zero(x, engine=None):
+    """The unital coproduct with d(1) = 0 instead of 1 (x) 1."""
+    return unital_coproduct(x, engine) - TensorElement(2, {(None, None): x.unit})
+
+
+def _bilinear_without_right_unit(x, y, basis_op):
+    """The bilinear extension missing its right-unit clause: f times 1 is 0."""
+    def pairs():
+        for f, c in x._terms.items():
+            for g, d in y._terms.items():
+                if f is None:
+                    yield g, c * d
+                elif g is not None:
+                    for h in basis_op(f, g):
+                        yield h, c * d
+
+    return algebra._collect(pairs())
+
+
+MUTATIONS = {
+    "d(1) = 0": [(verify, "unital_coproduct", _d_one_zero), (coalgebra, "unital_coproduct", _d_one_zero)],
+    "no right unit": [(coalgebra, "_bilinear", _bilinear_without_right_unit)],
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_negative_control_unit_pairs(monkeypatch, mutation):
+    def rule_lines():
+        return [(r.name, r.passed) for r in verify.suite_unital(4) if "rule on" in r.name]
+
+    lines = rule_lines()
+    assert lines == [(f"minus-sign {w} rule on 84 unital basis pairs, total degree <= 4", True) for w in ("star", "succ")]
+    for module, name, value in MUTATIONS[mutation]:
+        monkeypatch.setattr(module, name, value)
+    assert rule_lines() == [(name, False) for name, _ in lines]
 
 
 # --- the parser --------------------------------------------------------------
