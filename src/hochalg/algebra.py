@@ -431,7 +431,7 @@ def _parse_terms(text: str, alphabet_size: int | None, unital: bool):
             hit = _TERM_MEMO.get(key)
         if hit is None:
             coeff, basis, at = _parse_term(text, pos, alphabet_size, unital, pending)
-            if run is not None and at == end and end - pos <= _MEMO_TEXT:
+            if run is not None and end - pos <= _MEMO_TEXT:
                 pending.append((_TERM_MEMO, key, (coeff, basis)))
             pos = at
         else:

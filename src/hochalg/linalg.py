@@ -69,12 +69,15 @@ def _echelon(rows: Iterable[dict], reduced: bool) -> dict[int, dict]:
     its first column.  ``reduced`` then back-substitutes, last pivot first:
     the later pivot rows are already zero at each other's pivot columns,
     so one pass over the pivot columns a row holds clears them.  The input
-    rows are left unmodified.
+    rows are left unmodified: a row is copied only before it first
+    changes, so a returned pivot row may be an input row.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
-        row = dict(row)
+        copied = False
         while row and (col := min(row)) in pivots:
+            if not copied:
+                row, copied = dict(row), True
             _subtract(row, row[col], pivots[col])
         if not row:
             continue
@@ -85,9 +88,10 @@ def _echelon(rows: Iterable[dict], reduced: bool) -> dict[int, dict]:
         pivots[col] = row
     if reduced:
         for col in sorted(pivots, reverse=True):
-            row = pivots[col]
-            for j in [j for j in row if j != col and j in pivots]:
-                _subtract(row, row[j], pivots[j])
+            if hits := [j for j in pivots[col] if j != col and j in pivots]:
+                row = pivots[col] = dict(pivots[col])
+                for j in hits:
+                    _subtract(row, row[j], pivots[j])
     return pivots
 
 

@@ -14,25 +14,39 @@ f = x - x f + 2 f^2, solvable degree by degree in rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 
-@dataclass(frozen=True)
 class PowerSeries:
     """Coefficients c1..cN of a series c1 x + c2 x^2 + ... + cN x^N.
 
     The constant term is structurally zero, so every PowerSeries is a
-    valid right operand for composition.
+    valid right operand for composition.  A read-only value: equal and
+    hashed by its coefficients.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if not self.coeffs:
+    def __init__(self, coeffs: Sequence) -> None:
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if not coeffs:
             raise ValueError("truncation order must be at least 1")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self.coeffs == other.coeffs if type(other) is PowerSeries else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"PowerSeries(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:

@@ -19,11 +19,14 @@ forest, and in ``algebra`` each term of an element.  A text is stripped of
 trailing spaces and tabs, and what follows it is spaces and then a
 character outside its grammar, or the end of the input, so it parses the
 same way in any context.  An entry is written only from the character
-parser's own result, when that parse ended at the end of the text and the
-whole input parsed, so every miss and every error goes through the
-character parser.  A memo is a plain dict (a race at worst parses a text
-twice) of at most 16,384 entries, cleared when full, and no text longer
-than 128 characters is stored.
+parser's own result, and only once the whole input has parsed, so every
+miss and every error goes through the character parser.  Such a parse
+ended at the end of its text, so no position is checked: in an input that
+parses, a term or a forest is followed by spaces and then '+', '-' or the
+end of the input, while its text holds no '+' or '-' and does not end in
+a space.  A memo is a plain dict (a race at worst parses a text twice) of
+at most 16,384 entries, cleared when full, and no text longer than 128
+characters is stored.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 
 class ParseError(ValueError):
@@ -368,8 +371,8 @@ def _parse_tree(text: str, pos: int, alphabet_size: int | None) -> tuple[PlanarT
 def _parse_forest(text: str, pos: int, alphabet_size: int | None, pending: list) -> tuple[Forest, int]:
     """The forest at ``pos`` and the position after its last tree.  The run
     of forest characters at ``pos`` is looked up in ``_FOREST_MEMO`` first;
-    a miss parses the trees, and a parse that ends at the end of the run
-    goes on ``pending``, which the caller writes once its text has parsed."""
+    a miss parses the trees and goes on ``pending``, which the caller
+    writes once its text has parsed."""
     run = _FOREST_RUN.match(text, pos)
     if run is not None:
         end = run.end()
@@ -383,7 +386,7 @@ def _parse_forest(text: str, pos: int, alphabet_size: int | None, pending: list)
         start = _skip_ws(text, at)
         if text[start:start + 1] not in ("|", "["):
             f = Forest(tuple(trees))
-            if run is not None and at == end and end - pos <= _MEMO_TEXT:
+            if run is not None and end - pos <= _MEMO_TEXT:
                 pending.append((_FOREST_MEMO, key, f))
             return f, at
         if start == at:

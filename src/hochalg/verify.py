@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
 from .algebra import (
@@ -57,7 +57,7 @@ from .series import (
     schroeder,
     tinf_series,
 )
-from .trees import enumerate_forests, enumerate_trees, parse_forest
+from .trees import Forest, enumerate_forests, enumerate_trees, parse_forest
 
 RANDOM_SEED = 271828
 # A random element has 1..RANDOM_TERMS terms of degree 1..RANDOM_DEGREE;
@@ -70,24 +70,45 @@ LITTLE_SCHROEDER = (1, 1, 3, 11, 45, 197, 903, 4279, 20793)
 LARGE_SCHROEDER = (1, 2, 6, 22, 90, 394, 1806, 8558, 41586)
 
 
-@dataclass
 class CheckResult:
-    suite: str
-    name: str
-    passed: bool
+    """One line of the verify table: its suite, its label, PASS or FAIL."""
+
+    __hash__ = None  # mutable, compared by value
+
+    def __init__(self, suite: str, name: str, passed: bool):
+        self.suite, self.name, self.passed = suite, name, passed
+
+    def __eq__(self, other: object) -> bool:
+        fields = (self.suite, self.name, self.passed)
+        return fields == (other.suite, other.name, other.passed) if type(other) is CheckResult else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"CheckResult(suite={self.suite!r}, name={self.name!r}, passed={self.passed!r})"
 
 
-def random_element(rng: random.Random) -> Element:
-    """A small random linear combination of basis forests."""
+def _random_terms(rng: random.Random) -> list[tuple[Forest, int, int]]:
+    """The draws of one random element, in stream order: per term a basis
+    forest, a nonzero numerator and a positive denominator."""
     terms = []
     for _ in range(rng.randint(1, RANDOM_TERMS)):
         degree = rng.randint(1, RANDOM_DEGREE)
         forests = enumerate_forests(degree)
         f = forests[rng.randrange(len(forests))]
-        num = rng.randint(-9, 9) or 1
-        den = rng.randint(1, 9)
-        terms.append((f, Fraction(num, den)))
-    return Element(terms)
+        terms.append((f, rng.randint(-9, 9) or 1, rng.randint(1, 9)))
+    return terms
+
+
+def random_element(rng: random.Random) -> Element:
+    """A small random linear combination of basis forests."""
+    return Element([(f, Fraction(num, den)) for f, num, den in _random_terms(rng)])
+
+
+def _random_integral(rng: random.Random) -> Element:
+    """random_element's draw times the lcm m of its denominators: the same
+    stream and forests, each coefficient the int num * (m // den)."""
+    terms = _random_terms(rng)
+    m = math.lcm(*[den for _, _, den in terms])
+    return Element([(f, num * (m // den)) for f, num, den in terms])
 
 
 def _elements(n: int) -> list[Element]:
@@ -181,9 +202,16 @@ def _cocycle_holds(x: Element, y: Element, z: Element) -> bool:
 
 def suite_cocycle(max_degree: int, engine: CoproductEngine | None = None) -> list[CheckResult]:
     """The Hochschild two-cocycle relation, exhaustively on basis triples
-    of bounded total degree and on seeded random elements."""
+    of bounded total degree and on seeded random elements.
+
+    The random triples are checked in exact integers.  The relation R is
+    trilinear, R(ax, by, cz) = abc R(x, y, z), so for a, b, c > 0 it holds
+    on (ax, by, cz) exactly when it holds on (x, y, z).  Each drawn
+    element x is therefore scaled by the lcm of its denominators
+    (``_random_integral``), which leaves only int coefficients; a draw
+    that cancels to zero stays zero."""
     rng = random.Random(RANDOM_SEED)
-    randoms = ((random_element(rng), random_element(rng), random_element(rng)) for _ in range(RANDOM_TRIPLES))
+    randoms = ((_random_integral(rng), _random_integral(rng), _random_integral(rng)) for _ in range(RANDOM_TRIPLES))
     label = f"all {{count}} basis triples, total degree <= {max_degree}"
     return [
         _tally("cocycle", label, _basis_tuples(max_degree, 3), _cocycle_holds),

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hochalg
 from hochalg import verify
 from hochalg.algebra import parse_element
 from hochalg.cli import run
@@ -286,3 +291,11 @@ class TestContract:
         line = out_lines(capsys)[-1]
         expected = nary_bracket([parse_element("| - 2*[|,|]"), parse_element("|")])
         assert parse_element(line) == expected
+
+
+def test_startup_imports_no_heavy_stdlib_modules():
+    """The CLI's import pulls in neither dataclasses (with inspect) nor typing."""
+    code = "import sys, hochalg.cli; print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(hochalg.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "\n"

@@ -24,10 +24,16 @@ reference code they replaced.
   parse error at its position.
 * The forest and term parsers have text memos in front of them; the
   reference is the same scanner, on the text alone (cold and warm) and
-  as one term of a larger element.  A failing input writes no entry, the
-  settings are part of each key, and both bounds hold.
+  as one term of a larger element.  A failing input writes no entry,
+  every entry written is its key text parsed alone, the settings are part
+  of each key, and both bounds hold.
+* The cocycle suite checks its random triples as integer multiples of
+  ``random_element``'s draws; the reference is the Fraction draw itself,
+  with the same verdict under the real products and under a product
+  that only the random triples reach.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -313,6 +319,70 @@ def test_negative_control_succ_term_dropped(monkeypatch, fresh_primitives):
     monkeypatch.setattr(coalgebra, "_succ_forests", _drop_one_tree_result)
     assert len(algebra.succ_basis(Forest((leaf(), leaf())), Forest((leaf(),))).terms()) == 1
     assert failing_suites(names, 4) == set(names)
+
+
+# --- the cocycle suite's integer random triples ------------------------------
+
+_real_concat = algebra._concat
+
+
+def _swap_long_products(f, g):
+    """Concatenation, but g f for a product of degree >= 6 whose left factor
+    has several trees: no basis triple of total degree <= 5 meets it."""
+    if f.degree + g.degree >= 6 and len(f) > 1:
+        return (g.concat(f),)
+    return _real_concat(f, g)
+
+
+def swap_long_products(monkeypatch):
+    monkeypatch.setattr(algebra, "_concat", _swap_long_products)
+    monkeypatch.setattr(coalgebra, "_concat", _swap_long_products)
+
+
+def cocycle_lines(max_degree):
+    return [(r.name, r.passed) for r in verify.suite_cocycle(max_degree)]
+
+
+def test_negative_control_random_triples_fire_alone(monkeypatch):
+    basis, random_ = "all 37 basis triples, total degree <= 5", "100 random element triples"
+    assert cocycle_lines(5) == [(basis, True), (random_, True)]
+    swap_long_products(monkeypatch)
+    assert cocycle_lines(5) == [(basis, True), (random_, False)]
+
+
+def random_draws():
+    """The suite's draws of RANDOM_SEED, each as random_element gives it
+    and as the suite checks it, in stream order."""
+    fractional, integral = random.Random(verify.RANDOM_SEED), random.Random(verify.RANDOM_SEED)
+    draws = [(verify.random_element(fractional), verify._random_integral(integral))
+             for _ in range(3 * verify.RANDOM_TRIPLES)]
+    assert fractional.getstate() == integral.getstate()
+    return draws
+
+
+def test_random_draws_scale_to_positive_integer_multiples():
+    draws = random_draws()
+    assert len(draws) == 300
+    for x, n in draws:
+        assert set(n._terms) == set(x._terms)
+        assert all(type(c) is int for c in n._terms.values())
+        ratios = {c / Fraction(x._terms[f]) for f, c in n._terms.items()}
+        assert len(ratios) <= 1 and all(r > 0 and r.denominator == 1 for r in ratios), (x, n)
+
+
+def test_integer_triples_give_the_fraction_verdicts(monkeypatch):
+    draws = random_draws()
+    triples = [tuple(zip(*draws[i:i + 3])) for i in range(0, len(draws), 3)]
+
+    def verdicts():
+        return [(verify._cocycle_holds(*xyz), verify._cocycle_holds(*scaled)) for xyz, scaled in triples]
+
+    real = verdicts()
+    assert real == [(True, True)] * len(triples)
+    swap_long_products(monkeypatch)
+    patched = verdicts()
+    assert all(a == b for a, b in patched)
+    assert (False, False) in patched
 
 
 # --- the compatibility rule check ---------------------------------------------
@@ -722,6 +792,29 @@ def test_memos_match_reference_on_examples(text):
 @given(texts, st.sampled_from([None, 1, 2, 3]))
 def test_memos_match_reference(text, alphabet_size):
     assert_memo_paths_agree(text, alphabet_size)
+
+
+def _ref_term_alone(text, alphabet_size, unital):
+    """The reference scanner's (coefficient, basis) for one term's text,
+    which it must read to the end; basis None for a bare 0 or the unit."""
+    cur = _Cursor(text)
+    coeff, basis = _ref_term(cur, alphabet_size, unital)
+    assert cur.at_end(), text
+    return coeff, None if basis == "zero" else basis
+
+
+@settings(max_examples=600, deadline=None)
+@given(texts, st.sampled_from([None, 1, 2, 3]))
+def test_every_memo_entry_is_its_text_parsed_alone(text, alphabet_size):
+    clear_memos()
+    for parse in (parse_forest, parse_element, parse_unital_element):
+        for source in (text, *in_context(text)):
+            outcome(parse, source, alphabet_size)
+    read_forest = _ref_whole(_ref_forest, "forest")
+    for (key, size), f in trees._FOREST_MEMO.items():
+        assert read_forest(key, size) == f, key
+    for (key, size, unital), value in algebra._TERM_MEMO.items():
+        assert _ref_term_alone(key, size, unital) == value, key
 
 
 def test_failing_input_writes_no_entry():
